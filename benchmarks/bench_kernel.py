@@ -1,12 +1,13 @@
-"""E-kernel -- vectorized vs byte-level closure expansion.
+"""E-kernel -- the array kernel vs byte-level closure expansion.
 
-Measures the PR-2 tentpole: the NumPy expansion kernel
-(``CascadeSearch(kernel="vector")``) against the seed
-``bytes.translate`` loop (``kernel="translate"``) on the paper's full
-cost-7 closure (~6.9e5 cascades, parent tracking on).  Both kernels
-produce byte-identical levels and parent pointers (asserted here and
-pinned by ``tests/test_kernels.py``); the acceptance bar is a >= 3x
-end-to-end build speedup.
+Measures the one array kernel (``CascadeSearch(kernel="vector")``:
+relation-filtered candidates, sharded dedup, run inline at its default
+options) against the seed ``bytes.translate`` loop
+(``kernel="translate"``) on the paper's full cost-7 closure (~6.9e5
+cascades, parent tracking on).  Both kernels produce byte-identical
+levels and parent pointers (asserted here and pinned by
+``tests/test_kernels.py``); the acceptance bar is a >= 3x end-to-end
+build speedup.
 
 Runs are paired (translate then vector, repeated) and the best time per
 kernel is reported, which cancels machine drift on shared runners.
@@ -28,6 +29,7 @@ default tier-1 selection, run explicitly or with ``-m benchmark``).
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -82,6 +84,7 @@ def measure() -> dict:
         "translate_runs_s": [round(t, 4) for t in translate_times],
         "vector_runs_s": [round(t, 4) for t in vector_times],
         "speedup": min(translate_times) / min(vector_times),
+        "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": __import__("numpy").__version__,
     }
@@ -94,7 +97,7 @@ def report(numbers: dict) -> str:
         f"cost bound:            {numbers['cost_bound']:10d}\n"
         f"closure size:          {numbers['closure_size']:10d}\n"
         f"translate kernel:      {numbers['translate_s'] * 1e3:10.1f} ms\n"
-        f"vector kernel:         {numbers['vector_s'] * 1e3:10.1f} ms\n"
+        f"vector (array) kernel: {numbers['vector_s'] * 1e3:10.1f} ms\n"
         f"speedup:               {numbers['speedup']:10.2f} x\n"
         f"(wrote {_JSON_PATH.name})"
     )

@@ -16,9 +16,9 @@ contract is that none of it costs anything a user can feel:
   but the router side carries almost all of it (trace + span minting,
   attempt histograms, a second access-log record), so the multiple
   growing is telemetry cost and the machine's absolute speed cancels.
-  Bar: within **5 %** -- asserted strictly on >= 4-CPU machines (the
-  baseline convention set by the parallel bench: smaller runners get
-  report-only numbers, the artifact stays honest either way).
+  Bar: within **5 %** -- asserted strictly on >= 4-CPU machines
+  (smaller runners get report-only numbers, the artifact stays honest
+  either way).
 * **scrape cost**: p50 of a full ``GET /metrics`` round trip, and the
   render parsed back to prove the exposition stays valid under load.
 * **progress instrumentation**: a cost-bound-4 closure expansion with

@@ -16,12 +16,11 @@ number of synthesis queries are answered against the stored artifact;
 format-v2 stores are memory-mapped, so serving opens in milliseconds)::
 
     repro precompute closure.rpro            # expand + save the closure
-    repro precompute closure.rpro --jobs 4   # parallel sharded expansion
-    repro precompute big.rpro --jobs 8 --dedup-budget 512M \\
+    repro precompute big.rpro --dedup-budget 512M \\
         --checkpoint-dir ck/                 # disk-backed dedup + resume
     repro precompute closure.rpro --extend --cost-bound 8   # deepen it
     repro precompute small.rpro --format-version 3           # compressed v3
-    repro plan --cost-bound 8                # size --jobs/--shard-bits/budget
+    repro plan --cost-bound 8                # size --shard-bits/budget
     repro plan closure.rpro --cost-bound 9   # ... seeded by a real store
     repro store info closure.rpro            # peek at a store's header
     repro store shards closure.rpro          # per-level/shard layout
@@ -327,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "and cost-model flags must match the existing store)",
     )
     p_pre.add_argument(
-        "--kernel", choices=("vector", "translate", "parallel"), default=None,
-        help="expansion kernel (vector: NumPy engine, default; "
-        "translate: the byte-level reference loop; parallel: the "
-        "sharded multi-worker engine -- implied by --jobs > 1 or any "
-        "--dedup-*/--shard-bits/--checkpoint-dir flag)",
+        "--kernel", choices=("vector", "translate", "parallel"),
+        default="vector",
+        help="expansion kernel (vector: the array engine, default; "
+        "translate: the byte-level reference loop; parallel: removed, "
+        "use vector)",
     )
     p_pre.add_argument(
         "--format-version", type=int, choices=(1, 2, 3), default=None,
@@ -344,11 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="v3 section codec (default auto: zstd when available, "
         "else zlib; requires --format-version 3)",
     )
-    p_pre.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for candidate generation (parallel "
-        "kernel; 1 = in-process)",
-    )
+    p_pre.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p_pre.add_argument(
         "--dedup-budget", metavar="SIZE", default=None,
         help="RAM budget for the dedup table (bytes, or 512M/2G); past "
@@ -419,12 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan",
-        help="size --jobs/--shard-bits/--dedup-budget for a precompute run",
+        help="size --shard-bits/--dedup-budget for a precompute run",
         description=(
             "Project the closure size for a cost bound and size the "
-            "parallel-expansion flags from this machine's CPU count and "
-            "available RAM.  An existing store seeds the projection with "
-            "its recorded level sizes and shard skew."
+            "dedup-table flags from this machine's available RAM.  An "
+            "existing store seeds the projection with its recorded "
+            "level sizes (and shard skew, when it recorded any)."
         ),
     )
     p_plan.add_argument(
@@ -440,10 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="plan for this much RAM (bytes, or 512M/8G/1.5GiB) "
         "instead of the detected available memory",
     )
-    p_plan.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="plan for N workers instead of this machine's CPU count",
-    )
+    p_plan.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p_plan.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
@@ -886,39 +878,42 @@ def _synth_batch(
     return 1 if failures else 0
 
 
-def _resolve_precompute_kernel(
-    kernel: str | None,
+def _precompute_kernel_options(
+    kernel: str,
     jobs: int | None,
     dedup_budget: str | None,
     shard_bits: int | None,
     checkpoint_dir: str | None,
-) -> tuple[str, dict]:
-    """Pick the expansion kernel + options from the precompute flags.
+) -> dict:
+    """The vector-engine options the precompute flags ask for.
 
-    Any parallel-engine tunable implies ``kernel="parallel"``; flags on
-    a non-parallel kernel are refused rather than silently ignored.
+    Dedup-table flags on the translate kernel are refused rather than
+    silently ignored.
     """
     from repro.core.dedup import parse_budget
     from repro.errors import SpecificationError
 
-    options: dict = {}
     if jobs is not None:
-        options["jobs"] = jobs
+        raise SpecificationError(
+            "--jobs was removed with the worker pool, which never beat "
+            "the inline engine; the vector kernel expands in-process -- "
+            "drop --jobs and size the dedup table with "
+            "--shard-bits/--dedup-budget"
+        )
+    options: dict = {}
     if dedup_budget is not None:
         options["memory_budget"] = parse_budget(dedup_budget)
     if shard_bits is not None:
         options["shard_bits"] = shard_bits
     if checkpoint_dir is not None:
         options["checkpoint_dir"] = checkpoint_dir
-    if kernel is None:
-        kernel = "parallel" if options else "vector"
-    elif options and kernel != "parallel":
+    if options and kernel == "translate":
         raise SpecificationError(
-            "--jobs/--dedup-budget/--shard-bits/--checkpoint-dir are "
-            f"parallel-kernel options; they cannot combine with "
-            f"--kernel {kernel}"
+            "--dedup-budget/--shard-bits/--checkpoint-dir tune the vector "
+            "kernel's dedup table; they cannot combine with --kernel "
+            "translate"
         )
-    return kernel, options
+    return options
 
 
 def _cmd_precompute(
@@ -931,7 +926,7 @@ def _cmd_precompute(
     cnot_cost: int,
     radix: int = 2,
     extend: bool = False,
-    kernel: str | None = None,
+    kernel: str = "vector",
     format_version: int | None = None,
     codec: str | None = None,
     jobs: int | None = None,
@@ -961,7 +956,7 @@ def _cmd_precompute(
             "--codec chooses the v3 section compression; it requires "
             "--format-version 3"
         )
-    kernel, kernel_options = _resolve_precompute_kernel(
+    kernel_options = _precompute_kernel_options(
         kernel, jobs, dedup_budget, shard_bits, checkpoint_dir
     )
     if radix != 2:
@@ -1054,6 +1049,7 @@ def _cmd_precompute(
     try:
         search.extend_to(cost_bound)
         stats = search.stats()
+        layout = search.shard_layout()
         if reporter is not None:
             reporter.emit(
                 "done",
@@ -1077,15 +1073,12 @@ def _cmd_precompute(
         f"{verb} {library!r} to cost {cost_bound}: "
         f"{stats.total_seen} cascades in {stats.elapsed_seconds:.2f}s"
     )
-    if kernel == "parallel":
-        layout = header.shards
-        if layout:
-            spill = "disk-backed" if layout.get("spilled") else "in-RAM"
-            print(
-                f"dedup table: {1 << layout['shard_bits']} shards x "
-                f"{layout['slab_slots']} slots ({spill}), "
-                f"jobs {kernel_options.get('jobs', 1)}"
-            )
+    if kernel_options and layout:
+        spill = "disk-backed" if layout["spilled"] else "in-RAM"
+        print(
+            f"dedup table: {1 << layout['shard_bits']} shards x "
+            f"{layout['slab_slots']} slots ({spill})"
+        )
     print(f"levels |B[k]|: {list(stats.level_sizes)}")
     print(
         f"wrote {out} ({size / 1e6:.1f} MB, format {header.format_version}, "
@@ -1466,8 +1459,8 @@ def _cmd_store_shards(path: str, bits: int | None) -> int:
     layout = header.shards
     if not layout and bits is None and header.format_version >= 2:
         print(
-            "no recorded shard layout (store not written by the parallel "
-            "kernel); pass --bits B to project one"
+            "no recorded shard layout (only stores of the former "
+            "parallel kernel carry one); pass --bits B to project one"
         )
         return 0
     if layout and bits is None:
@@ -1570,15 +1563,19 @@ def _cmd_plan(
 ) -> int:
     from repro.core.dedup import parse_budget
     from repro.core.plan import plan_resources
+    from repro.errors import SpecificationError
     from repro.io import read_header
 
+    if jobs is not None:
+        raise SpecificationError(
+            "--jobs was removed: `repro plan` no longer sizes worker "
+            "processes (the expansion runs in-process); it sizes "
+            "--shard-bits and --dedup-budget"
+        )
     header = None if store is None else read_header(store)
     memory_bytes = None if memory is None else parse_budget(memory)
     plan = plan_resources(
-        cost_bound,
-        header=header,
-        memory_bytes=memory_bytes,
-        jobs=jobs,
+        cost_bound, header=header, memory_bytes=memory_bytes
     )
     if as_json:
         import json
@@ -1598,7 +1595,7 @@ def _cmd_plan(
     for note in plan.notes:
         print(f"  note: {note}")
     print(
-        f"  --jobs {plan.jobs}  --shard-bits {plan.shard_bits}  "
+        f"  --shard-bits {plan.shard_bits}  "
         f"--dedup-budget {plan.dedup_budget_text}"
         + ("  (slabs will spill to disk)" if plan.spills else "")
     )

@@ -3,8 +3,8 @@
 * :mod:`repro.core.circuit` -- gate cascades with three semantics.
 * :mod:`repro.core.cost` -- quantum cost models.
 * :mod:`repro.core.search` -- the reasonable-product layered closure.
-* :mod:`repro.core.kernel` -- the NumPy-vectorized expansion engine.
-* :mod:`repro.core.parallel` -- sharded multi-worker expansion engine.
+* :mod:`repro.core.kernel` -- the array expansion engine.
+* :mod:`repro.core.relations` -- the relation filter of the kernel.
 * :mod:`repro.core.dedup` -- disk-backed sharded dedup table.
 * :mod:`repro.core.store` -- persistent closure store (precompute/serve).
 * :mod:`repro.core.plan` -- resource planner for precompute runs.
@@ -26,7 +26,8 @@ from repro.core.search import (
     SearchStats,
 )
 from repro.core.dedup import ShardedDedupTable, parse_budget
-from repro.core.parallel import RelationFilter, ShardedExpansion
+from repro.core.kernel import VectorEngine
+from repro.core.relations import RelationFilter
 from repro.core.store import (
     StoreHeader,
     cost_model_fingerprint,
@@ -106,7 +107,7 @@ __all__ = [
     "ShardedDedupTable",
     "parse_budget",
     "RelationFilter",
-    "ShardedExpansion",
+    "VectorEngine",
     "StoreHeader",
     "cost_model_fingerprint",
     "dump_search",

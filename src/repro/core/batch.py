@@ -120,11 +120,7 @@ class BatchSynthesizer:
       path once) before sharing an instance across threads;
     * the search must not be extended or re-kerneled while queries are
       in flight -- freezing makes those operations raise instead of
-      racing.  For a parallel-kernel search
-      (``CascadeSearch(kernel="parallel")``) the freeze also releases
-      the expansion worker pool and scratch mappings, so a serving
-      process never holds idle forked workers; the sharded dedup table
-      stays alive (row lookups read it).
+      racing.
 
     Lazy v3 chunk decompression needs no extra care: the section cache
     is lock-protected and keyed by file identity, so concurrent worker

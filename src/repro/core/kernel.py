@@ -1,109 +1,67 @@
-"""NumPy-vectorized closure-expansion kernel (the hot path of the search).
+"""The array expansion kernel: the hot path of the cascade search.
 
 The seed engine extended a level by looping over every (cascade, gate)
 pair in Python: one ``bytes.translate`` per candidate plus a dict lookup
-for dedup.  This module replaces that inner loop with whole-level array
-operations on a :class:`VectorEngine`:
+for dedup.  :class:`VectorEngine` replaces that inner loop with
+whole-level array operations, run inline in one process:
 
 * **Representation.**  Each discovered permutation is one row of a
   contiguous ``(n_rows, padded_width)`` uint8 array (padded to a
   multiple of 8 so rows view as uint64 words); rows are appended in
   discovery order, so a row index is the permutation's *global index*
-  and levels are contiguous row ranges.  Parallel per-level arrays hold
-  the S-image bitmask (``mask_words`` uint64 words per row), the parent
+  and levels are contiguous row ranges.  Per-level arrays hold the
+  S-image bitmask (``mask_words`` uint64 words per row), the parent
   global row and the appended gate index.
 
 * **Candidate generation.**  Per gate, Definition 1's reasonable-product
-  test is one vectorized mask filter (``masks & banned == 0``) and
-  composition is one fancy-indexing gather through a precomputed
-  65536-entry uint16 *pair table* (two labels substituted per lookup --
-  half the gathers of a byte-wise table).  A guaranteed-duplicate
-  back-edge filter drops candidates that would just undo the gate that
-  created their source (``p * g * g^-1 = p`` is always already seen).
+  test is one vectorized mask filter (``masks & banned == 0``).  Two
+  filters then drop candidates that are provably duplicates: the
+  back-edge filter (``p * g * g^-1 = p`` is always already seen) and the
+  :class:`~repro.core.relations.RelationFilter` (length-2 gate
+  relations).  Composition is one fancy-indexing gather through a
+  65536-entry uint16 *pair table* (two labels substituted per lookup).
 
-* **Dedup.**  New candidates are separated from duplicates with a
-  vectorized open-addressing hash table (double hashing over a 64-bit
-  mulxor row hash).  Hash hits are verified by comparing full packed
-  rows, so the result is exact -- a hash collision only costs an extra
-  comparison, never a wrong count.  Batch-internal duplicates resolve
-  through claim races: every candidate scatters its id into empty slots
-  (lowest id wins, preserving the seed kernel's first-discovery order)
-  and losers compare against the winner.
+* **Dedup.**  Candidates merge through a
+  :class:`~repro.core.dedup.ShardedDedupTable`: hash-prefix shards of
+  open-addressing slots, exact against full packed rows, with claim
+  races resolved to the lowest candidate id (the normative claim
+  protocol is specified in :mod:`repro.core.dedup`).  Past a memory
+  budget the shards spill to ``np.memmap`` files.
 
-The engine is exact: for any library and cost model it discovers the
-same level sets, in the same order, with the same parent pointers as the
-seed ``bytes.translate`` kernel (``CascadeSearch(kernel="translate")``),
-roughly 3-5x faster end to end on the paper's cost-7 closure.
+* **Checkpoint / crash recovery.**  With a ``checkpoint_dir`` completed
+  levels are persisted (``level-NNNN.npz``), dedup slabs live as memmap
+  files under ``slabs/``, and a manifest is atomically rewritten after
+  every level.  A crash mid-level leaves in-flight claims and
+  uncommitted rows in the slabs; on resume they are swept back to the
+  last checkpoint (:meth:`ShardedDedupTable.sweep_uncommitted`) and the
+  expansion continues to the same closure as an uninterrupted run.
 
-Dedup-table claim protocol (normative)
---------------------------------------
-
-This section is the reference specification of the vectorized dedup
-table; ``tests/test_kernels.py`` (including its forced-collision cases)
-pins the behaviour, and any reimplementation -- a sharded or on-disk
-table for the 4-qubit closure, a parallel expansion worker -- must
-preserve these invariants.
-
-**Slot layout.**  The table is an open-addressing array of ``2**c``
-uint64 words, load factor kept under 1/4 (capacity doubles on demand;
-rebuilds reinsert all discovered rows).  Each word packs two fields:
-
-* bits 63..32 -- the high half of the occupant's 64-bit mulxor row hash
-  (:func:`hash_rows` over the 8-padded row bytes);
-* bits 31..0 -- the *encoding*, an int32 in two's complement: ``0`` for
-  an empty slot, ``row + 1`` (positive) for a committed global row,
-  ``-(candidate_id + 1)`` (negative) for an in-flight batch claim.
-
-**Probe sequence.**  Candidate ``i`` with hash ``h`` probes slot
-``(h + r * step) mod 2**c`` in round ``r``, with ``step = (h >> 42) | 1``
-(double hashing; round 0 probes ``h mod 2**c`` directly).
-
-**Batch round protocol.**  Each round, every still-unresolved candidate
-gathers its slot word once, then exactly one of three transitions
-applies:
-
-1. *Occupied, hash-high match* -- the candidate is **assumed** to be a
-   duplicate of the occupant and leaves the probe loop; the (candidate,
-   occupant-encoding) pair is queued for deferred verification.
-2. *Occupied, hash-high mismatch* -- the candidate survives to the next
-   round (ordinary collision, probe on).
-3. *Empty* -- every candidate that probed this slot scatters its claim
-   word (hash high | claim encoding) **in reverse candidate order**, so
-   after numpy's last-write-wins scatter the *lowest* candidate id owns
-   the slot: first-discovery order is exactly the seed kernel's.  Each
-   claimant re-reads the slot; the winner is provisionally **new**,
-   a loser whose hash-high matches the winner is an assumed
-   batch-internal duplicate (queued as in 1), any other loser probes on.
-
-**Deferred verification.**  After the probe loop, all assumed-duplicate
-pairs are verified in one vectorized comparison of full packed rows
-(claims resolve against the claiming candidate's row, committed
-encodings against the stored row).  A pair that fails -- a genuine
-64-bit hash collision -- is re-inserted through an exact scalar probe
-path in ascending candidate order.  Optimism therefore never changes
-*what* is deduplicated, only how fast.
-
-**Commit.**  Accepted candidates receive consecutive global rows in
-candidate order (``n_rows + 1 ..``), and their slots are rewritten from
-claim encodings to committed ``row + 1`` encodings; claims never
-survive a batch.  Readers (:meth:`VectorEngine.find_row`) treat any
-positive encoding with a matching hash-high as a hit candidate and
-verify against the full row, so they are correct against committed
-state at any batch boundary.
+The engine is exact: for any library, cost model, shard count and
+memory budget it discovers the same level sets, in the same order, with
+the same parent pointers as the seed ``bytes.translate`` kernel
+(``CascadeSearch(kernel="translate")``), several times faster end to
+end.  ``tests/test_kernels.py`` and ``tests/test_parallel.py`` pin the
+equivalence, forced hash collisions and crash recovery included.
 """
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 
+from repro.core.dedup import ShardedDedupTable, shard_of
+from repro.core.relations import RelationFilter
 from repro.errors import InvalidValueError
 
 #: 64-bit mulxor hash constant (golden-ratio multiplier).
 _HASH_C = np.uint64(0x9E3779B97F4A7C15)
 _ONE = np.uint64(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
-#: Initial hash-table capacity (slots); grows by doubling.
-_MIN_CAP_BITS = 16
+
+#: Manifest schema version of a checkpoint directory.
+CHECKPOINT_FORMAT = 1
 
 
 def padded_width(degree: int) -> int:
@@ -256,14 +214,106 @@ class GateRows:
         return len(self.tables16)
 
 
-class VectorEngine:
-    """Array-backed closure state plus the vectorized expansion kernel.
+# -- checkpointing ---------------------------------------------------------------------
 
-    One engine instance owns everything the vector kernel touches: the
+
+class ExpansionCheckpoint:
+    """Per-level persistence of an expansion under one directory.
+
+    Layout::
+
+        <dir>/manifest.json      atomically replaced after every level
+        <dir>/level-NNNN.npz     perms/masks/parents/gates of level N
+        <dir>/slabs/shard-*.slab the live (memmapped) dedup slabs
+
+    The manifest records the identity of the computation (library and
+    cost-model fingerprints, degree, shard bits, parent tracking) plus
+    the committed state (level offsets, slab size), so a resume can
+    refuse a directory written for a different search.
+    """
+
+    def __init__(self, directory: str | Path, provenance: dict | None = None):
+        self.dir = Path(directory)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.provenance = dict(provenance or {})
+
+    @property
+    def manifest_path(self) -> Path:
+        return self.dir / "manifest.json"
+
+    @property
+    def slab_dir(self) -> Path:
+        return self.dir / "slabs"
+
+    def level_path(self, level: int) -> Path:
+        return self.dir / f"level-{level:04d}.npz"
+
+    def load_manifest(self) -> dict | None:
+        try:
+            return json.loads(self.manifest_path.read_text())
+        except (OSError, ValueError):
+            return None
+
+    def compatible(self, manifest: dict, identity: dict) -> bool:
+        """Whether a manifest matches this computation's identity."""
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            return False
+        return all(manifest.get(k) == v for k, v in identity.items())
+
+    def write_manifest(self, manifest: dict) -> None:
+        tmp = self.manifest_path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(manifest, indent=1) + "\n")
+        os.replace(tmp, self.manifest_path)
+
+    def write_level(
+        self,
+        level: int,
+        perms: np.ndarray,
+        masks: np.ndarray,
+        parents: np.ndarray,
+        gates: np.ndarray,
+    ) -> None:
+        path = self.level_path(level)
+        tmp = path.with_suffix(".npz.tmp")
+        with open(tmp, "wb") as handle:
+            np.savez(
+                handle, perms=perms, masks=masks, parents=parents, gates=gates
+            )
+        os.replace(tmp, path)
+
+    def read_level(self, level: int) -> dict[str, np.ndarray]:
+        with np.load(self.level_path(level)) as data:
+            return {name: np.array(data[name]) for name in data.files}
+
+
+# -- the engine ------------------------------------------------------------------------
+
+
+class VectorEngine:
+    """Array-backed closure state plus the expansion kernel.
+
+    One engine instance owns everything the array kernel touches: the
     global row store (packed permutations + hashes), the per-level mask,
-    parent and gate arrays, and the dedup hash table.  The public
-    :class:`~repro.core.search.CascadeSearch` delegates its array-form
-    state here and keeps the byte-level legacy API on top.
+    parent and gate arrays, the relation filter and the sharded dedup
+    table.  The public :class:`~repro.core.search.CascadeSearch`
+    delegates its array-form state here and keeps the byte-level legacy
+    API on top.
+
+    Saving a closure goes through the streamed store writers
+    (:func:`~repro.core.store.save_search`), level by level straight off
+    the row store, so writing never materializes a second copy of the
+    closure -- the property that lets a budgeted run save a store larger
+    than the dedup table's RAM cap.
+
+    Args:
+        shard_bits: the dedup keyspace is range-sharded into
+            ``2**shard_bits`` hash-prefix shards.
+        memory_budget: soft RAM cap (bytes) for the dedup slabs; past
+            it, slabs spill to memmap files.
+        checkpoint_dir: persist completed levels + slabs here and resume
+            from them (see :class:`ExpansionCheckpoint`).
+        provenance: identity payload pinned into the checkpoint
+            manifest (library/cost fingerprints).
     """
 
     def __init__(
@@ -272,11 +322,15 @@ class VectorEngine:
         n_binary: int,
         gate_rows: GateRows,
         track_parents: bool = True,
+        *,
+        shard_bits: int = 6,
+        memory_budget: int | None = None,
+        checkpoint_dir: str | Path | None = None,
+        provenance: dict | None = None,
     ):
         self.degree = degree
         self.n_binary = n_binary
         self.width = padded_width(degree)
-        self.words = self.width // 8
         self.mask_words = mask_word_count(degree)
         self.gate_rows = gate_rows
         self.track_parents = track_parents
@@ -290,8 +344,31 @@ class VectorEngine:
         self.level_parents: list[np.ndarray] = []
         self.level_gates: list[np.ndarray] = []
 
-        self._cap_bits = _MIN_CAP_BITS
-        self._ht = np.zeros(1 << self._cap_bits, dtype=np.uint64)
+        self._checkpoint = (
+            ExpansionCheckpoint(checkpoint_dir, provenance)
+            if checkpoint_dir is not None
+            else None
+        )
+        self._table = ShardedDedupTable(
+            shard_bits=shard_bits,
+            memory_budget=memory_budget,
+            spill_dir=(
+                self._checkpoint.slab_dir if self._checkpoint else None
+            ),
+            persistent=self._checkpoint is not None,
+        )
+        # Built on first use inside expand_level (it takes ~0.1 s for
+        # the 4-qubit library), so an engine that is never extended --
+        # one rebuilt only to answer lookups -- does not pay for it.
+        # None = not built yet; False = built, no relations exist.
+        self._filter: RelationFilter | bool | None = None
+        # Global S-image masks, grown in row order (parent-mask lookups
+        # for the relation filter gather straight from it).
+        self._gmasks = np.empty((1024, self.mask_words), dtype=np.uint64)
+        self._gmask_rows = 0
+        self._cand_buf = None
+        self._hash_buf = None
+        self._meta_buf = None
 
         #: Optional progress sink (duck-typed ``ProgressReporter``);
         #: ``None`` keeps every phase boundary a plain attribute check,
@@ -341,6 +418,15 @@ class VectorEngine:
             int(self.level_gates[level][local]),
         )
 
+    def find_row(self, images: bytes) -> int:
+        """Global row of a permutation, or -1 if not discovered."""
+        row = np.frombuffer(images, dtype=np.uint8)[None, :]
+        packed = pack_rows(row, self.degree)
+        h = hash_rows(packed)[0]
+        return self._table.find(
+            packed.view(np.uint64)[0], h, self._perms.view(np.uint64)
+        )
+
     def _grow_rows(self, extra: int) -> None:
         need = self.n_rows + extra
         cap = self._perms.shape[0]
@@ -354,274 +440,6 @@ class VectorEngine:
         hashes = np.empty(cap, dtype=np.uint64)
         hashes[: self.n_rows] = self._hashes[: self.n_rows]
         self._hashes = hashes
-
-    # -- hash table --------------------------------------------------------------------
-    #
-    # One uint64 word per slot: the high 32 bits hold the row hash's high
-    # half, the low 32 bits the *encoding* -- 0 for empty, ``row + 1``
-    # for a discovered row, ``-(candidate_id + 1)`` (two's complement)
-    # for an in-flight batch claim.  A single gather per probe reads
-    # both; truncating the stored hash to 32 bits is safe because every
-    # hash match is verified against the full packed rows anyway.
-
-    @staticmethod
-    def _pack_word(hashes: np.ndarray, enc: np.ndarray) -> np.ndarray:
-        """Combine hash high halves with int32 encodings into slot words."""
-        return (hashes & ~_LOW32) | (
-            enc.astype(np.int64).view(np.uint64) & _LOW32
-        )
-
-    def _ensure_capacity(self, total_rows: int) -> None:
-        """Grow + rebuild the table so *total_rows* keeps load under 1/4.
-
-        The array is allocated with an explicit sequential fill rather
-        than ``np.zeros`` so the page faults happen in one streaming pass
-        instead of randomly during the first probe rounds.
-        """
-        if total_rows * 4 <= (1 << self._cap_bits):
-            return
-        while total_rows * 4 > (1 << self._cap_bits):
-            self._cap_bits += 1
-        cap = 1 << self._cap_bits
-        self._ht = np.empty(cap, dtype=np.uint64)
-        self._ht.fill(0)
-        if self.n_rows:
-            self._insert_distinct(
-                self._hashes[: self.n_rows],
-                np.arange(1, self.n_rows + 1, dtype=np.int32),
-            )
-
-    def _insert_distinct(self, hashes: np.ndarray, rows: np.ndarray) -> None:
-        """Insert rows known to be pairwise-distinct and not in the table.
-
-        ``rows`` carries the +1-encoded slot values (row index plus one).
-        """
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        ht = self._ht
-        words = self._pack_word(hashes, rows)
-        alive = np.arange(hashes.size, dtype=np.int64)
-        rnd = np.uint64(0)
-        while alive.size:
-            h = hashes[alive]
-            step = (h >> np.uint64(42)) | _ONE
-            slot = ((h + rnd * step) & msk).view(np.int64)
-            empty = (np.take(ht, slot, mode="clip") & _LOW32) == 0
-            idx = alive[empty]
-            sl = slot[empty]
-            ht[sl[::-1]] = words[idx[::-1]]
-            won = np.take(ht, sl, mode="clip") == words[idx]
-            alive = np.concatenate([alive[~empty], idx[~won]])
-            rnd += _ONE
-
-    def find_row(self, images: bytes) -> int:
-        """Global row of a permutation, or -1 if not discovered."""
-        row = np.frombuffer(images, dtype=np.uint8)[None, :]
-        packed = pack_rows(row, self.degree)
-        h = hash_rows(packed)[0]
-        key = packed.view(np.uint64)[0]
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        step = (h >> np.uint64(42)) | _ONE
-        probe = h & msk
-        high = int(h >> np.uint64(32))
-        for _ in range(1 << self._cap_bits):
-            slot = int(probe)
-            word = int(self._ht[slot])
-            occupant = (word & 0xFFFFFFFF) - ((word & 0x80000000) << 1)
-            if occupant == 0:
-                return -1
-            if occupant > 0 and (word >> 32) == high:
-                stored = self._perms[occupant - 1].view(np.uint64)
-                if bool((stored == key).all()):
-                    return occupant - 1
-            probe = (probe + step) & msk
-        return -1
-
-    # -- dedup + insert ----------------------------------------------------------------
-
-    def _occupant_packed(
-        self, occupant: np.ndarray, candw: np.ndarray
-    ) -> np.ndarray:
-        """Packed rows behind occupant encodings.
-
-        ``occupant`` holds slot values: discovered rows as ``row + 1``
-        (positive) or batch claims as ``-(candidate_id + 1)`` (negative).
-        """
-        permw = self._perms.view(np.uint64)
-        batch = occupant < 0
-        if batch.any():
-            packed = np.empty((occupant.size, self.words), dtype=np.uint64)
-            packed[batch] = np.take(
-                candw, -occupant[batch] - 1, axis=0, mode="clip"
-            )
-            glob = ~batch
-            if glob.any():
-                packed[glob] = np.take(
-                    permw, occupant[glob] - 1, axis=0, mode="clip"
-                )
-            return packed
-        return np.take(permw, occupant - 1, axis=0, mode="clip")
-
-    def _dedup_insert(self, cand: np.ndarray, ch: np.ndarray) -> np.ndarray:
-        """Classify candidate rows, returning the accepted-as-new mask.
-
-        Exactly-once semantics: among candidates with equal images the
-        lowest index survives (matching the seed kernel's first-discovery
-        order), and a candidate equal to an already-discovered row is
-        dropped.  Winners are inserted with their final global rows.
-
-        A candidate whose hash matches an occupant is *optimistically*
-        treated as that occupant's duplicate during the probe rounds; all
-        such pairs are then verified in one vectorized row comparison,
-        and the (cosmically rare) hash-collision victims are re-inserted
-        through the exact scalar path -- so the optimistic fast path
-        never changes the result, only the speed.
-        """
-        M = cand.shape[0]
-        self._ensure_capacity(self.n_rows + M)
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        ht = self._ht
-        candw = cand.view(np.uint64)
-        status = np.zeros(M, dtype=np.int8)  # 0 pending, 1 new, 2 dup
-        slot_of = np.empty(M, dtype=np.int64)
-        pair_cand: list[np.ndarray] = []  # assumed-dup candidate ids
-        pair_occ: list[np.ndarray] = []  # the occupant encodings they hit
-        ids = None  # None = all candidates (round 0 fast path)
-        rnd = np.uint64(0)
-        while True:
-            if ids is None:
-                h = ch
-                slot = (h & msk).view(np.int64)
-            else:
-                if not ids.size:
-                    break
-                h = np.take(ch, ids)
-                step = (h >> np.uint64(42)) | _ONE
-                slot = ((h + rnd * step) & msk).view(np.int64)
-            word = np.take(ht, slot, mode="clip")
-            enc = (word & _LOW32).astype(np.uint32).view(np.int32)
-            survivors = []
-            # Occupied slots (nonzero encoding): a hash-high match is an
-            # assumed duplicate (deferred verification); a mismatch
-            # probes on.
-            occ_i = np.flatnonzero(enc)
-            if occ_i.size:
-                own = occ_i if ids is None else np.take(ids, occ_i)
-                hmatch = (
-                    np.take(word, occ_i) >> np.uint64(32)
-                ) == (np.take(h, occ_i) >> np.uint64(32))
-                if hmatch.any():
-                    dup_own = own[hmatch]
-                    status[dup_own] = 2
-                    pair_cand.append(dup_own)
-                    pair_occ.append(np.take(enc, occ_i[hmatch]))
-                    survivors.append(own[~hmatch])
-                else:
-                    survivors.append(own)
-            # Empty slots: claim with the candidate id; the reversed
-            # scatter makes the lowest id win, and a loser whose hash
-            # matches the winner's is an assumed batch-internal duplicate.
-            emp_i = np.flatnonzero(enc == 0)
-            if emp_i.size:
-                claimants = emp_i if ids is None else np.take(ids, emp_i)
-                sl = np.take(slot, emp_i)
-                my_h = np.take(ch, claimants)
-                my_word = self._pack_word(
-                    my_h, (-1 - claimants).astype(np.int32)
-                )
-                ht[sl[::-1]] = my_word[::-1]
-                got = np.take(ht, sl, mode="clip")
-                won = got == my_word
-                winners = claimants[won]
-                status[winners] = 1
-                slot_of[winners] = sl[won]
-                lost = ~won
-                if lost.any():
-                    lcl = claimants[lost]
-                    gotl = got[lost]
-                    same_h = (gotl >> np.uint64(32)) == (
-                        my_h[lost] >> np.uint64(32)
-                    )
-                    if same_h.any():
-                        si = np.flatnonzero(same_h)
-                        status[lcl[si]] = 2
-                        pair_cand.append(lcl[si])
-                        pair_occ.append(
-                            (gotl[si] & _LOW32)
-                            .astype(np.uint32)
-                            .view(np.int32)
-                        )
-                        keep = np.ones(lcl.size, dtype=bool)
-                        keep[si] = False
-                        survivors.append(lcl[keep])
-                    else:
-                        survivors.append(lcl)
-            ids = (
-                np.concatenate(survivors)
-                if survivors
-                else np.empty(0, dtype=np.int64)
-            )
-            rnd += _ONE
-        # Verify every assumed duplicate in one vectorized comparison.
-        if pair_cand:
-            cids = np.concatenate(pair_cand)
-            occs = np.concatenate(pair_occ)
-            eq = (
-                self._occupant_packed(occs, candw)
-                == np.take(candw, cids, axis=0, mode="clip")
-            ).all(axis=1)
-            for cid in np.sort(cids[~eq]):
-                # Hash collision: not a duplicate after all.  Exact
-                # scalar re-insert (one candidate per ~2^64 hashes).
-                self._scalar_insert(int(cid), cand, ch, status, slot_of)
-        new_mask = status == 1
-        accepted = np.flatnonzero(new_mask)
-        final_rows = (self.n_rows + 1 + np.arange(accepted.size)).astype(
-            np.int32
-        )
-        ht[slot_of[accepted]] = self._pack_word(
-            np.take(ch, accepted), final_rows
-        )
-        return new_mask
-
-    def _scalar_insert(
-        self,
-        cid: int,
-        cand: np.ndarray,
-        ch: np.ndarray,
-        status: np.ndarray,
-        slot_of: np.ndarray,
-    ) -> None:
-        """Exact single-candidate probe for hash-collision victims."""
-        candw = cand.view(np.uint64)
-        msk = np.uint64((1 << self._cap_bits) - 1)
-        h = ch[cid]
-        step = (h >> np.uint64(42)) | _ONE
-        probe = h & msk
-        high = int(h >> np.uint64(32))
-        key = candw[cid]
-        for _ in range(1 << self._cap_bits):
-            slot = int(probe)
-            word = int(self._ht[slot])
-            occupant = (word & 0xFFFFFFFF) - ((word & 0x80000000) << 1)
-            if occupant == 0:
-                self._ht[slot] = self._pack_word(
-                    h[None], np.array([-1 - cid], dtype=np.int32)
-                )[0]
-                status[cid] = 1
-                slot_of[cid] = slot
-                return
-            if (word >> 32) == high:
-                if occupant > 0:
-                    stored = self._perms[occupant - 1].view(np.uint64)
-                else:
-                    stored = candw[-occupant - 1]
-                if bool((stored == key).all()):
-                    status[cid] = 2
-                    return
-            probe = (probe + step) & msk
-        raise InvalidValueError("hash table full during scalar insert")
-
-    # -- level append ------------------------------------------------------------------
 
     def _append_level(
         self,
@@ -641,21 +459,29 @@ class VectorEngine:
         self.level_parents.append(parents)
         self.level_gates.append(gates)
 
+    def _insert_distinct(self, start: int) -> None:
+        """Enter rows ``start..n_rows-1`` (new, pairwise distinct) in the table."""
+        if self.n_rows > start:
+            self._table.insert_distinct(
+                self._hashes[start : self.n_rows],
+                np.arange(start + 1, self.n_rows + 1, dtype=np.int32),
+                self._hashes,
+                self.n_rows,
+            )
+
     def seed_identity(self) -> None:
         """Install level 0: the identity singleton."""
         if self.n_levels:
             raise InvalidValueError("engine already seeded")
         identity = np.arange(self.width, dtype=np.uint8)[None, :]
-        h = hash_rows(identity)
-        self._ensure_capacity(1)
         self._append_level(
             identity,
-            h,
+            hash_rows(identity),
             compute_masks(identity, self.n_binary, self.mask_words),
             np.full(1, -1, dtype=np.int32),
             np.full(1, -1, dtype=np.int32),
         )
-        self._insert_distinct(h, np.ones(1, dtype=np.int32))
+        self._insert_distinct(0)
 
     def load_level(
         self,
@@ -668,15 +494,19 @@ class VectorEngine:
 
         Used when rebuilding the engine from a store or a legacy
         snapshot.  ``masks`` are recomputed when absent; ``parents`` and
-        ``gates`` default to -1 (unknown -- the back-edge filter then
-        skips those rows, which only costs a few extra candidates).
+        ``gates`` default to -1 (unknown -- the back-edge and relation
+        filters then skip those rows, which only costs a few extra
+        candidates).  Adopted checkpoint slabs are discarded first -- a
+        replayed closure is its own source of truth -- and, when
+        checkpointing, the replayed level is persisted so a later
+        resume covers it.
         """
+        self._discard_adopted_slabs()
         n = perms.shape[0]
         # Explicit copies throughout: the inputs may be views of a
         # memory-mapped store file, and the engine must not keep that
         # mapping alive (the caller may re-save over the file).
         packed = pack_rows(np.array(perms, dtype=np.uint8), self.degree)
-        hashes = hash_rows(packed)
         if masks is None:
             masks = compute_masks(packed, self.n_binary, self.mask_words)
         else:
@@ -692,28 +522,32 @@ class VectorEngine:
         else:
             gates = np.array(gates, dtype=np.int32)
         start = self.n_rows
-        self._ensure_capacity(self.n_rows + n)
-        self._append_level(packed, hashes, masks, parents, gates)
-        if n:
-            self._insert_distinct(
-                hashes, (start + 1 + np.arange(n)).astype(np.int32)
+        self._append_level(packed, hash_rows(packed), masks, parents, gates)
+        self._insert_distinct(start)
+        if self._checkpoint is not None:
+            level = self.n_levels - 1
+            self._checkpoint.write_level(
+                level, self.level_perms_raw(level), masks, parents, gates
             )
 
     # -- the kernel --------------------------------------------------------------------
     #
-    # ``expand_level`` is split into four phases so sharded/parallel
-    # engines (:mod:`repro.core.parallel`) can override one phase at a
-    # time while inheriting the rest:
+    # ``expand_level`` runs three phases:
     #
     #   _plan_chunks         -> which (gate, source level, kept rows)
     #                           pairs become candidates, in the
-    #                           determinism-critical library-gate order;
-    #   _filter_candidates   -> per-chunk pruning hook (identity here;
-    #                           the relation filter of the parallel
-    #                           engine drops provable duplicates);
+    #                           determinism-critical library-gate order,
+    #                           after the back-edge and relation filters;
     #   _generate_candidates -> compose + hash every kept pair;
     #   _commit_level        -> dedup, append accepted rows, build the
     #                           per-level mask/parent/gate arrays.
+
+    def _relation_filter(self) -> RelationFilter | None:
+        """The library's relation filter (built once), or None if empty."""
+        if self._filter is None:
+            built = RelationFilter(self.gate_rows, self.degree, self.mask_words)
+            self._filter = built if built.active else False
+        return self._filter or None
 
     def _plan_chunks(
         self, cost: int
@@ -756,21 +590,84 @@ class VectorEngine:
                     total += kept.size
         chunks.sort(key=lambda chunk: chunk[0])
         # Pre-filter candidate count, read by the progress ``plan``
-        # event (the filter hook may have dropped some of *planned*).
+        # event (the relation filter may have dropped some of *planned*).
         self._last_planned = planned
         return chunks, total
 
     def _filter_candidates(
         self, src: int, gi: int, kept: np.ndarray
     ) -> np.ndarray:
-        """Hook: drop kept rows whose candidates are provable duplicates.
+        """Drop kept rows whose candidates are provable duplicates.
 
-        The base engine keeps everything; overrides must only remove
-        candidates that some earlier candidate (earlier level, or same
-        level and smaller gate index) is guaranteed to have produced,
-        so levels, discovery order and parents stay byte-identical.
+        Only candidates that some earlier candidate (earlier level, or
+        same level and smaller gate index) is guaranteed to have
+        produced are removed, so levels, discovery order and parents
+        stay byte-identical.  Rows without provenance (restored levels)
+        are always kept.
         """
-        return kept
+        relations = self._relation_filter()
+        parents = self.level_parents[src]
+        if relations is None or parents.shape[0] != self.level_size(src):
+            return kept
+        self._sync_gmasks()
+        qs = self.level_gates[src][kept]
+        prs = parents[kept]
+        valid = (qs >= 0) & (prs >= 0)
+        if not valid.any():
+            return kept
+        vi = np.flatnonzero(valid)
+        skip_valid = relations.prune(gi, qs[vi], self._gmasks[prs[vi]])
+        if not skip_valid.any():
+            return kept
+        drop = np.zeros(kept.shape[0], dtype=bool)
+        drop[vi] = skip_valid
+        return kept[~drop]
+
+    def _sync_gmasks(self) -> None:
+        if self._gmask_rows == self.n_rows:
+            return
+        need = self.n_rows
+        cap = self._gmasks.shape[0]
+        if need > cap:
+            while cap < need:
+                cap *= 2
+            grown = np.empty((cap, self.mask_words), dtype=np.uint64)
+            grown[: self._gmask_rows] = self._gmasks[: self._gmask_rows]
+            self._gmasks = grown
+        pos = self._gmask_rows
+        for level in range(self.n_levels):
+            size = self.level_size(level)
+            start = self.offsets[level]
+            if start + size <= pos:
+                continue
+            masks = self.level_masks[level]
+            lo = pos - start
+            self._gmasks[start + lo : start + size] = masks[lo:]
+            pos = start + size
+        self._gmask_rows = need
+
+    def _candidate_buffers(self, total: int):
+        """Scratch for one level's candidates, reused across levels.
+
+        Returns ``(cand, ch, parents, gates)``.  *parents* is None only
+        on counting-only runs without relations (the relation filter
+        reads parent rows even when the export drops them); the gate
+        array always stays -- it feeds the back-edge filter.
+        """
+        if self._cand_buf is None or self._cand_buf.shape[0] < total:
+            cap = max(total, 4096)
+            self._cand_buf = np.empty((cap, self.width), dtype=np.uint8)
+            self._hash_buf = np.empty(cap, dtype=np.uint64)
+            self._meta_buf = np.empty((2, cap), dtype=np.int32)
+        wants_parents = (
+            self.track_parents or self._relation_filter() is not None
+        )
+        return (
+            self._cand_buf[:total],
+            self._hash_buf[:total],
+            self._meta_buf[0, :total] if wants_parents else None,
+            self._meta_buf[1, :total],
+        )
 
     def _generate_candidates(
         self, chunks: list[tuple[int, int, np.ndarray]], total: int
@@ -778,8 +675,9 @@ class VectorEngine:
         """Compose + hash all planned candidates.
 
         Returns ``(cand, ch, parents, gates)``: packed candidate rows,
-        their hashes, parent global rows (None on counting-only runs)
-        and appended-gate indices, all in chunk order.
+        their hashes, parent global rows (None on counting-only runs
+        without relations) and appended-gate indices, all in chunk
+        order.
         """
         rows = self.gate_rows
         cand, ch, parents, gates = self._candidate_buffers(total)
@@ -805,53 +703,63 @@ class VectorEngine:
             pos += m
         return cand, ch, parents, gates
 
-    def _wants_parents(self) -> bool:
-        """Whether candidate parents are materialized during expansion."""
-        return self.track_parents
-
-    def _candidate_buffers(self, total: int):
-        """Scratch arrays for one level's candidates (overridable).
-
-        Returns ``(cand, ch, parents, gates)``; *parents* is None on
-        counting-only runs (the gate array stays -- it feeds the
-        back-edge duplicate filter).
-        """
-        return (
-            np.empty((total, self.width), dtype=np.uint8),
-            np.empty(total, dtype=np.uint64),
-            np.empty(total, dtype=np.int32) if self._wants_parents() else None,
-            np.empty(total, dtype=np.int32),
-        )
-
     def _commit_level(self, cand, ch, parents, gates) -> int:
-        """Dedup the candidate batch and append the accepted rows."""
-        new_mask = self._dedup_insert(cand, ch)
+        """Dedup the candidate batch and append the accepted rows.
+
+        With parents at hand, accepted-row masks come from
+        ``mask(t_g . a) = perm_g(mask(a))`` -- pushing the parent's
+        S-image mask through the appended gate's byte tables is cheaper
+        than recomputing masks from the row images, and exactly equal.
+        """
+        self._table.reserve(ch, self._hashes, self.n_rows)
+        new_mask = self._table.dedup_commit(
+            cand.view(np.uint64), ch, self._perms.view(np.uint64), self.n_rows
+        )
         accepted = np.flatnonzero(new_mask)
         n_new = accepted.size
         self._grow_rows(n_new)
         start = self.n_rows
         np.take(cand, accepted, axis=0, out=self._perms[start : start + n_new])
         np.take(ch, accepted, out=self._hashes[start : start + n_new])
-        new_perms = self._perms[start : start + n_new]
-        self.n_rows += n_new
-        self.offsets.append(self.n_rows)
-        self.level_masks.append(
-            compute_masks(new_perms, self.n_binary, self.mask_words)
-        )
-        self.level_parents.append(
+        acc_gates = gates[accepted]
+        acc_parents = (
             parents[accepted]
             if parents is not None
             else np.empty(0, dtype=np.int32)
         )
-        self.level_gates.append(gates[accepted])
+        relations = self._relation_filter()
+        if relations is not None and parents is not None:
+            self._sync_gmasks()  # parents precede this level
+            masks = relations.permuted_masks(
+                self._gmasks[acc_parents], acc_gates
+            )
+        else:
+            masks = compute_masks(
+                self._perms[start : start + n_new],
+                self.n_binary,
+                self.mask_words,
+            )
+        self.n_rows += n_new
+        self.offsets.append(self.n_rows)
+        self.level_masks.append(masks)
+        self.level_parents.append(acc_parents)
+        self.level_gates.append(acc_gates)
         return int(n_new)
 
     def dedup_stats(self) -> dict:
-        """Occupancy of the dedup structure, as progress-event fields."""
-        return {
-            "dedup_slots": int(self._ht.size),
+        """Occupancy of the dedup table, as progress-event fields."""
+        layout = self._table.layout()
+        stats = {
+            "dedup_slots": int(self._table.n_shards * layout["slab_slots"]),
             "dedup_used": int(self.n_rows),
         }
+        if layout["spilled"]:
+            stats["dedup_spilled"] = True
+        return stats
+
+    @property
+    def dedup_table(self) -> ShardedDedupTable:
+        return self._table
 
     def expand_level(self, cost: int) -> int:
         """Compute the next level (must be ``n_levels``); returns its size."""
@@ -860,6 +768,11 @@ class VectorEngine:
                 f"levels must be expanded in order: next is {self.n_levels}, "
                 f"got {cost}"
             )
+        # Safety net: never expand against adopted-but-unvalidated
+        # checkpoint slabs (try_resume clears the flag when it vouches
+        # for them).
+        self._discard_adopted_slabs()
+        was_spilled = self._table.spilled
         progress = self.progress
         chunks, total = self._plan_chunks(cost)
         if progress is not None:
@@ -871,7 +784,12 @@ class VectorEngine:
                 kept=int(total),
                 rows=int(self.n_rows),
             )
-        if not total:
+        if total:
+            cand, ch, parents, gates = self._generate_candidates(chunks, total)
+            if progress is not None:
+                progress.emit("generate", level=cost, candidates=int(total))
+            n_new = self._commit_level(cand, ch, parents, gates)
+        else:
             self._append_level(
                 np.empty((0, self.width), dtype=np.uint8),
                 np.empty(0, dtype=np.uint64),
@@ -879,19 +797,7 @@ class VectorEngine:
                 np.empty(0, dtype=np.int32),
                 np.empty(0, dtype=np.int32),
             )
-            if progress is not None:
-                progress.emit(
-                    "commit",
-                    level=cost,
-                    accepted=0,
-                    rows=int(self.n_rows),
-                    **self.dedup_stats(),
-                )
-            return 0
-        cand, ch, parents, gates = self._generate_candidates(chunks, total)
-        if progress is not None:
-            progress.emit("generate", level=cost, candidates=int(total))
-        n_new = self._commit_level(cand, ch, parents, gates)
+            n_new = 0
         if progress is not None:
             progress.emit(
                 "commit",
@@ -900,4 +806,148 @@ class VectorEngine:
                 rows=int(self.n_rows),
                 **self.dedup_stats(),
             )
+            if self._table.spilled and not was_spilled:
+                progress.emit("spill", level=cost)
+        if self._checkpoint is not None:
+            self._write_checkpoint(cost)
         return n_new
+
+    # -- checkpoint / resume -----------------------------------------------------------
+
+    def _identity_dict(self) -> dict:
+        identity = {
+            "format": CHECKPOINT_FORMAT,
+            "degree": self.degree,
+            "n_binary": self.n_binary,
+            "mask_words": self.mask_words,
+            "track_parents": self.track_parents,
+            "shard_bits": self._table.shard_bits,
+        }
+        identity.update(self._checkpoint.provenance)
+        return identity
+
+    def _write_checkpoint(self, cost: int) -> None:
+        ck = self._checkpoint
+        ck.write_level(
+            cost,
+            self.level_perms_raw(cost),
+            self.level_masks[cost],
+            self.level_parents[cost],
+            self.level_gates[cost],
+        )
+        self._table.flush()
+        manifest = self._identity_dict()
+        manifest.update(
+            {
+                "level_offsets": list(self.offsets),
+                "n_rows": self.n_rows,
+                "slab_bits": self._table.slab_bits,
+            }
+        )
+        ck.write_manifest(manifest)
+        if self.progress is not None:
+            self.progress.emit("checkpoint", level=cost, path=str(ck.dir))
+
+    def try_resume(self) -> int:
+        """Adopt a compatible checkpoint; returns the resumed cost bound.
+
+        Call once, right after :meth:`seed_identity`.  Levels recorded
+        in the manifest are loaded back, the persistent dedup slabs are
+        swept back to the checkpointed row count (erasing whatever a
+        mid-level crash left in flight), and any shard whose contents
+        fail validation is rebuilt from the committed rows.  Returns 0
+        (nothing to resume) when the directory is empty or was written
+        for a different computation.
+        """
+        if self._checkpoint is None or self.n_levels != 1:
+            return 0
+        manifest = self._checkpoint.load_manifest()
+        offsets = []
+        if manifest is not None and self._checkpoint.compatible(
+            manifest, self._identity_dict()
+        ):
+            offsets = [int(o) for o in manifest.get("level_offsets", [])]
+        if len(offsets) < 2 or offsets[:2] != [0, 1]:
+            self._discard_adopted_slabs()
+            return 0
+        try:
+            levels = [
+                self._checkpoint.read_level(level)
+                for level in range(1, len(offsets) - 1)
+            ]
+        except (OSError, ValueError, KeyError):
+            self._discard_adopted_slabs()
+            return 0
+        # Adopt the slab geometry before any insert touches the table;
+        # the seeded identity row is part of the checkpointed slabs.
+        self._table.adopt_geometry(
+            int(manifest.get("slab_bits", self._table.slab_bits))
+        )
+        for data in levels:
+            packed = pack_rows(data["perms"], self.degree)
+            self._append_level(
+                packed,
+                hash_rows(packed),
+                np.array(data["masks"], dtype=np.uint64).reshape(
+                    packed.shape[0], self.mask_words
+                ),
+                np.array(data["parents"], dtype=np.int32),
+                np.array(data["gates"], dtype=np.int32),
+            )
+        self._table.sweep_uncommitted(self.n_rows)
+        self._rebuild_shards(mismatched_only=True)
+        self._table.adopted = False  # contents now vouched for
+        return self.n_levels - 1
+
+    def _discard_adopted_slabs(self) -> None:
+        """Rebuild adopted persistent slabs from this engine's own rows.
+
+        A persistent table adopts whatever slab files the checkpoint
+        directory holds -- including a crashed run's in-flight claims.
+        :meth:`try_resume` validates or sweeps them; every *other* way
+        of populating the engine (``load_level`` replays from a store
+        or another engine) must first erase the foreign contents, or
+        stale claims would make genuine first-producer candidates
+        "verify" as duplicates and silently shrink the closure.
+        """
+        if self._table.adopted:
+            self._rebuild_shards()
+            self._table.adopted = False
+
+    def _rebuild_shards(self, mismatched_only: bool = False) -> None:
+        """Re-derive shard slabs from the committed rows.
+
+        With *mismatched_only*, only shards whose recorded row count
+        disagrees with the row store are rebuilt.
+        """
+        hashes = self._hashes[: self.n_rows]
+        shards = shard_of(hashes, self._table.shard_bits)
+        expected = np.bincount(shards, minlength=self._table.n_shards)
+        recorded = self._table.layout()["rows_per_shard"]
+        for s in range(self._table.n_shards):
+            if mismatched_only and recorded[s] == int(expected[s]):
+                continue
+            rows = np.flatnonzero(shards == s).astype(np.int64)
+            self._table.reinsert_shard(
+                s, np.take(hashes, rows), (rows + 1).astype(np.int32)
+            )
+
+    # -- lifecycle ---------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release spilled or checkpointed dedup slabs and candidate scratch.
+
+        A RAM-resident dedup table stays, so lookups and further
+        expansion keep working; a spilled or checkpointed one is
+        unmapped (an owned temporary spill directory is removed), after
+        which lookups raise :class:`~repro.errors.InvalidValueError`.
+        Idempotent.
+        """
+        self._cand_buf = self._hash_buf = self._meta_buf = None
+        self._table.close()
+
+    def __del__(self):  # pragma: no cover - best-effort cleanup
+        try:
+            self._table.close()
+        except Exception:
+            pass

@@ -1,10 +1,10 @@
 """Resource planning for precompute runs (``repro plan``).
 
-Sizing a parallel expansion today takes operator guesswork: how many
-``--jobs``, how many ``--shard-bits``, how big a ``--dedup-budget``
-before the sharded table spills?  The answers are mechanical -- they
-follow from the CPU count, the available RAM and the projected closure
-size -- so this module computes them.
+Sizing a large expansion takes operator guesswork: how many
+``--shard-bits``, how big a ``--dedup-budget`` before the sharded dedup
+table spills?  The answers are mechanical -- they follow from the
+available RAM and the projected closure size -- so this module computes
+them.
 
 The sizing rules (also documented in ``docs/architecture.md``):
 
@@ -12,18 +12,15 @@ The sizing rules (also documented in ``docs/architecture.md``):
   recorded ``level_sizes`` are extrapolated past the stored bound at
   the last observed level-growth ratio; without one, the paper's
   3-qubit closure sizes seed the projection.
-* **jobs** -- ``cpu_count``, minus one core left for the coordinator
-  when more than two are available.
-* **shard_bits** -- the smallest bits giving at least one shard per
-  job (parallel grain) *and* per-shard slabs no bigger than
-  :data:`SLAB_TARGET_BYTES` (so one shard's table stays cache- and
+* **shard_bits** -- the smallest bits giving per-shard slabs no bigger
+  than :data:`SLAB_TARGET_BYTES` (so one shard's table stays cache- and
   spill-friendly), clamped to ``MAX_SHARD_BITS``.  Slab slots mirror
   the dedup table's rule: the next power of two holding the projected
   peak shard at load factor <= 1/4.  A store that recorded its shard
   layout contributes its observed skew (peak / mean rows per shard).
 * **dedup budget** -- the full table size when it fits in half the
   available RAM (no spill), else half the available RAM (the table
-  spills its slabs to disk, which PR 5's persistent mode handles).
+  spills its slabs to disk).
 """
 
 from __future__ import annotations
@@ -121,7 +118,6 @@ class ResourcePlan:
     """A sized precompute run: the flags plus the numbers behind them."""
 
     cost_bound: int
-    jobs: int
     shard_bits: int
     dedup_budget_bytes: int
     projected_rows: int
@@ -143,14 +139,13 @@ class ResourcePlan:
         """A ready-to-paste ``repro precompute`` invocation."""
         return (
             f"repro precompute {store} --cost-bound {self.cost_bound} "
-            f"--jobs {self.jobs} --shard-bits {self.shard_bits} "
+            f"--shard-bits {self.shard_bits} "
             f"--dedup-budget {self.dedup_budget_text}"
         )
 
     def as_dict(self) -> dict:
         return {
             "cost_bound": self.cost_bound,
-            "jobs": self.jobs,
             "shard_bits": self.shard_bits,
             "dedup_budget_bytes": self.dedup_budget_bytes,
             "dedup_budget": self.dedup_budget_text,
@@ -166,21 +161,17 @@ class ResourcePlan:
 def plan_resources(
     cost_bound: int,
     header=None,
-    cpus: int | None = None,
     memory_bytes: int | None = None,
-    jobs: int | None = None,
 ) -> ResourcePlan:
-    """Size ``--jobs``/``--shard-bits``/``--dedup-budget`` for a run.
+    """Size ``--shard-bits``/``--dedup-budget`` for a run.
 
     Args:
         cost_bound: the closure bound being planned.
         header: an optional :class:`~repro.core.store.StoreHeader` of an
             existing store -- its level sizes seed the row projection
             and its recorded shard layout contributes observed skew.
-        cpus: override ``os.cpu_count()`` (tests).
         memory_bytes: override detected available RAM (tests, or
             operators planning for a different machine).
-        jobs: pin the worker count instead of deriving it from *cpus*.
     """
     notes: list[str] = []
     level_sizes: tuple[int, ...] = ()
@@ -210,22 +201,15 @@ def plan_resources(
         notes.append("projection seeded by the paper's 3-qubit closure")
 
     rows = project_rows(cost_bound, level_sizes, degree)
-    if jobs is None:
-        if cpus is None:
-            cpus = os.cpu_count() or 1
-        jobs = cpus if cpus <= 2 else cpus - 1
-    jobs = max(1, jobs)
 
     if memory_bytes is None:
         memory_bytes = available_memory_bytes()
 
     bits = 0
     while bits < MAX_SHARD_BITS:
-        n_shards = 1 << bits
-        if n_shards >= jobs:
-            peak = int(rows / n_shards * skew) + 1
-            if _slab_slots(peak) * _SLOT_BYTES <= SLAB_TARGET_BYTES:
-                break
+        peak = int(rows / (1 << bits) * skew) + 1
+        if _slab_slots(peak) * _SLOT_BYTES <= SLAB_TARGET_BYTES:
+            break
         bits += 1
     n_shards = 1 << bits
     peak = int(rows / n_shards * skew) + 1
@@ -248,7 +232,6 @@ def plan_resources(
 
     return ResourcePlan(
         cost_bound=cost_bound,
-        jobs=jobs,
         shard_bits=bits,
         dedup_budget_bytes=budget,
         projected_rows=rows,

@@ -10,27 +10,25 @@ level sets are exactly the paper's ``B[k]`` (and their union ``A[k]``).
 
 Two interchangeable kernels drive the expansion:
 
-* ``kernel="vector"`` (default): the NumPy engine of
-  :mod:`repro.core.kernel` -- levels are contiguous uint8 arrays, a gate
-  application is one mask filter plus one fancy-indexing composition, and
-  dedup runs through a vectorized hash table.  This is several times
-  faster than the byte-level loop and is the representation the v2
-  closure store serializes directly.
+* ``kernel="vector"`` (default): the array engine of
+  :mod:`repro.core.kernel`, run inline -- levels are contiguous uint8
+  arrays, a gate application is one mask filter plus one fancy-indexing
+  composition, provable duplicates are pruned by the relation filter
+  before composing, and dedup runs through a sharded table that can
+  spill to disk and checkpoint.  Its tunables (shard bits, dedup memory
+  budget, checkpoint directory) arrive via ``kernel_options``.  This is
+  several times faster than the byte-level loop and is the
+  representation the v2 closure store serializes directly.
 * ``kernel="translate"``: the original pure-Python loop (one
   ``bytes.translate`` per candidate, dict-based dedup), kept as the
-  reference implementation and benchmark baseline
+  reference implementation, test oracle and benchmark baseline
   (``benchmarks/bench_kernel.py``).
-* ``kernel="parallel"``: the sharded expansion engine of
-  :mod:`repro.core.parallel` -- relation-filtered candidate generation,
-  optionally fanned out to a ``multiprocessing`` worker pool, merged
-  through a disk-backed sharded dedup table.  Tunables (worker count,
-  shard bits, dedup memory budget, checkpoint directory) arrive via
-  ``kernel_options``.
 
-All kernels produce identical levels in identical discovery order with
+Both kernels produce identical levels in identical discovery order with
 identical parent pointers; ``tests/test_kernels.py`` and
-``tests/test_parallel.py`` pin that equivalence.  Optional parent pointers give O(cost) witness extraction
-for MCE, and row-based accessors (:meth:`CascadeSearch.perm_bytes_at`,
+``tests/test_parallel.py`` pin that equivalence.  Optional parent
+pointers give O(cost) witness extraction for MCE, and row-based
+accessors (:meth:`CascadeSearch.perm_bytes_at`,
 :meth:`CascadeSearch.witness_indices_for_row`) let index-serving layers
 avoid byte-level lookups entirely.
 """
@@ -52,9 +50,40 @@ except ImportError:  # pragma: no cover - the container ships numpy
     _np = None
 
 #: Kernel names accepted by :class:`CascadeSearch`.
-KERNELS = ("vector", "translate", "parallel")
-#: Kernels whose closure state is the array engine of repro.core.kernel.
-_ARRAY_KERNELS = ("vector", "parallel")
+KERNELS = ("vector", "translate")
+#: ``kernel_options`` keys; all tune the vector engine's dedup table.
+_KERNEL_OPTIONS = ("shard_bits", "memory_budget", "checkpoint_dir")
+#: Removed kernel names and options, with what replaces them.
+_REMOVED = {
+    "parallel": "kernel 'parallel' was removed; use kernel='vector', "
+    "which runs the same relation-filtered, sharded pipeline inline",
+    "jobs": "kernel option 'jobs' was removed with the worker pool; the "
+    "vector kernel expands inline (size it with 'shard_bits' and "
+    "'memory_budget')",
+    "relation_filter": "kernel option 'relation_filter' was removed; the "
+    "filter is always on and never changes results (kernel='translate' "
+    "is the unfiltered reference)",
+}
+
+
+def _check_kernel(kernel: str, kernel_options: dict | None) -> dict:
+    """Validate a kernel name and its options; returns the options."""
+    if kernel in _REMOVED:
+        raise InvalidValueError(_REMOVED[kernel])
+    if kernel not in KERNELS:
+        raise InvalidValueError(
+            f"unknown kernel {kernel!r}; pick one of {KERNELS}"
+        )
+    options = dict(kernel_options or {})
+    for key in options:
+        if key in _REMOVED:
+            raise InvalidValueError(_REMOVED[key])
+        if key not in _KERNEL_OPTIONS:
+            raise InvalidValueError(
+                f"unknown kernel option {key!r}; the accepted keys are "
+                f"{_KERNEL_OPTIONS}"
+            )
+    return options
 
 
 @dataclass(frozen=True)
@@ -174,15 +203,14 @@ class CascadeSearch:
             permutation, enabling :meth:`witness_circuit`.  Costs memory
             proportional to the closure size; disable for counting-only
             runs such as Table 2.
-        kernel: ``"vector"`` (NumPy engine, default), ``"translate"``
-            (the reference pure-Python loop) or ``"parallel"`` (the
-            sharded multi-worker engine).  All produce identical
-            closures; see the module docstring.
-        kernel_options: tunables for the parallel kernel -- ``jobs``,
-            ``shard_bits``, ``memory_budget``, ``checkpoint_dir``,
-            ``relation_filter`` (see
-            :class:`repro.core.parallel.ShardedExpansion`).  Ignored by
-            the other kernels.
+        kernel: ``"vector"`` (the array engine, default) or
+            ``"translate"`` (the reference pure-Python loop).  Both
+            produce identical closures; see the module docstring.
+        kernel_options: tunables for the vector engine --
+            ``shard_bits``, ``memory_budget``, ``checkpoint_dir`` (see
+            :class:`repro.core.kernel.VectorEngine`).  Ignored by the
+            translate kernel; any other key raises
+            :class:`~repro.errors.InvalidValueError`.
     """
 
     def __init__(
@@ -193,13 +221,9 @@ class CascadeSearch:
         kernel: str = "vector",
         kernel_options: dict | None = None,
     ):
-        if kernel not in KERNELS:
-            raise InvalidValueError(
-                f"unknown kernel {kernel!r}; pick one of {KERNELS}"
-            )
-        if kernel in _ARRAY_KERNELS and _np is None:
+        self._kernel_options = _check_kernel(kernel, kernel_options)
+        if kernel == "vector" and _np is None:
             kernel = "translate"
-        self._kernel_options = dict(kernel_options or {})
         self._library = library
         self._cost_model = cost_model
         self._track_parents = track_parents
@@ -248,9 +272,7 @@ class CascadeSearch:
         else:
             self._engine = self._new_engine()
             self._engine.seed_identity()
-            if kernel == "parallel" and self._kernel_options.get(
-                "checkpoint_dir"
-            ):
+            if self._kernel_options.get("checkpoint_dir"):
                 resumed = self._engine.try_resume()
                 if resumed:
                     self._expanded_to = resumed
@@ -276,38 +298,29 @@ class CascadeSearch:
         )
 
     def _new_engine(self):
-        if self._kernel == "parallel":
-            from repro.core.parallel import ShardedExpansion
-
-            options = dict(self._kernel_options)
-            provenance = options.pop("provenance", None)
-            if provenance is None and options.get("checkpoint_dir"):
-                from repro.core.store import (
-                    cost_model_fingerprint,
-                    library_fingerprint,
-                )
-
-                provenance = {
-                    "library_fingerprint": library_fingerprint(self._library),
-                    "cost_fingerprint": cost_model_fingerprint(
-                        self._cost_model
-                    ),
-                }
-            return ShardedExpansion(
-                self._degree,
-                self._n_binary,
-                self._gate_rows(),
-                track_parents=self._track_parents,
-                provenance=provenance,
-                **options,
-            )
         from repro.core.kernel import VectorEngine
 
+        # A translate search only builds an engine for array exports;
+        # its (ignored) options must not open checkpoints or spill.
+        options = self._kernel_options if self._kernel == "vector" else {}
+        provenance = None
+        if options.get("checkpoint_dir"):
+            from repro.core.store import (
+                cost_model_fingerprint,
+                library_fingerprint,
+            )
+
+            provenance = {
+                "library_fingerprint": library_fingerprint(self._library),
+                "cost_fingerprint": cost_model_fingerprint(self._cost_model),
+            }
         return VectorEngine(
             self._degree,
             self._n_binary,
             self._gate_rows(),
             track_parents=self._track_parents,
+            provenance=provenance,
+            **options,
         )
 
     def _mask_of(self, perm: bytes) -> int:
@@ -346,7 +359,7 @@ class CascadeSearch:
         :class:`~repro.telemetry.ProgressReporter`) receives
         level-start/level-end events from :meth:`extend_to` and
         plan/generate/commit (plus spill/checkpoint) events from the
-        array engines.  Expansion results are byte-identical with or
+        array engine.  Expansion results are byte-identical with or
         without one attached.
         """
         self._progress = reporter
@@ -356,10 +369,12 @@ class CascadeSearch:
     def use_kernel(self, kernel: str, kernel_options: dict | None = None) -> None:
         """Switch the expansion kernel for future :meth:`extend_to` calls.
 
-        Any kernel can pick up a closure another one built -- the
+        Either kernel can pick up a closure the other one built -- the
         byte-level and array forms convert lazily -- so switching is
         cheap until the next expansion actually runs.  *kernel_options*
-        replaces the parallel-kernel tunables when given.
+        replaces the vector-engine tunables when given; a live engine
+        built under other options is replayed into a fresh one on the
+        next expansion.
         """
         if self._frozen:
             from repro.errors import FrozenSearchError
@@ -367,15 +382,16 @@ class CascadeSearch:
             raise FrozenSearchError(
                 "search is frozen for serving; kernels cannot be switched"
             )
-        if kernel not in KERNELS:
-            raise InvalidValueError(
-                f"unknown kernel {kernel!r}; pick one of {KERNELS}"
-            )
-        if kernel in _ARRAY_KERNELS and _np is None:
-            raise InvalidValueError(f"the {kernel} kernel needs numpy")
+        options = _check_kernel(kernel, kernel_options)
+        if kernel == "vector" and _np is None:
+            raise InvalidValueError("the vector kernel needs numpy")
         self._kernel = kernel
-        if kernel_options is not None:
-            self._kernel_options = dict(kernel_options)
+        if kernel_options is not None and options != self._kernel_options:
+            self._kernel_options = options
+            if self._engine is not None:
+                self._raw = self.export_arrays()
+                self._engine.close()
+                self._engine = None
 
     @property
     def frozen(self) -> bool:
@@ -429,25 +445,19 @@ class CascadeSearch:
         self.stats()
         for cost in range(self._expanded_to + 1):
             self._level_start(cost)
-        if self._engine is not None and hasattr(self._engine, "release_workers"):
-            # A parallel-kernel search keeps no idle worker processes
-            # once pinned for serving (the dedup table stays for
-            # row lookups).
-            self._engine.release_workers()
         self._frozen = True
         return self
 
     def shard_layout(self) -> dict | None:
-        """Dedup-shard layout, when the parallel kernel holds this closure.
+        """The live dedup-shard layout, while an array engine holds the closure.
 
-        ``None`` for the other kernels; the v2 store writer embeds a
-        non-None layout into the header so `repro store shards` can
-        report it.
+        ``None`` for translate-kernel and store-loaded searches.  Stores
+        do not record it: `repro store shards --bits` projects the same
+        layout from the stored rows.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "dedup_table"):
-            return engine.dedup_table.layout()
-        return None
+        if self._engine is None:
+            return None
+        return self._engine.dedup_table.layout()
 
     @property
     def was_restored(self) -> bool:
@@ -590,50 +600,21 @@ class CascadeSearch:
         self._engine = engine
         return engine
 
-    def _upgrade_engine_if_needed(self, engine):
-        """Swap in a sharded engine when the parallel kernel is selected.
-
-        A :class:`~repro.core.parallel.ShardedExpansion` *is* a
-        ``VectorEngine``, so a search that switches ``parallel ->
-        vector`` keeps its engine; only the opposite switch replays the
-        levels into a fresh sharded engine (O(closure size), once).
-        """
-        if self._kernel != "parallel":
-            return engine
-        from repro.core.parallel import ShardedExpansion
-
-        if isinstance(engine, ShardedExpansion):
-            return engine
-        upgraded = self._new_engine()
-        for cost in range(engine.n_levels):
-            upgraded.load_level(
-                engine.level_perms_raw(cost),
-                engine.level_masks[cost],
-                engine.level_parents[cost]
-                if engine.level_parents[cost].shape[0]
-                else None,
-                engine.level_gates[cost]
-                if engine.level_gates[cost].shape[0]
-                else None,
-            )
-        self._engine = upgraded
-        return upgraded
-
     def close(self) -> None:
-        """Release kernel resources (worker pools, dedup slabs, scratch).
+        """Release spill and checkpoint files held by the vector engine.
 
-        Only the parallel kernel holds any; calling this on other
-        kernels (or twice) is a no-op.  After closing, level reads and
-        witness walks keep working (they read the engine's arrays), but
-        exact row lookups (:meth:`cost_of` / ``find_row`` on a
-        parallel-kernel engine) need the dedup slabs and raise a clean
-        :class:`~repro.errors.InvalidValueError`.  To keep a search
-        fully queryable while only shedding worker processes, use
-        :meth:`freeze` instead.
+        Spilled dedup slabs are unmapped (a temporary spill directory is
+        removed) and checkpoint slabs are unmapped (the checkpoint
+        directory itself stays, for a later resume).  With the default
+        RAM-resident dedup table, level reads, lookups, witness walks
+        and further :meth:`extend_to` calls keep working after
+        closing; on a spilled or checkpointed table, exact row lookups
+        (:meth:`cost_of` by permutation) raise a clean
+        :class:`~repro.errors.InvalidValueError`.  A no-op for the
+        translate kernel and store-loaded searches; idempotent.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
+        if self._engine is not None:
+            self._engine.close()
 
     # -- expansion ---------------------------------------------------------------------
 
@@ -652,9 +633,8 @@ class CascadeSearch:
             )
         started = perf_counter()
         progress = self._progress
-        if self._kernel in _ARRAY_KERNELS:
+        if self._kernel == "vector":
             engine = self._ensure_engine()
-            engine = self._upgrade_engine_if_needed(engine)
             engine.progress = progress
             for cost in range(self._expanded_to + 1, cost_bound + 1):
                 if progress is not None:

@@ -353,9 +353,10 @@ class StoreHeader:
     index_sha256: dict = field(default_factory=dict)
     #: Dedup-shard layout of the expansion that built this store
     #: (``shard_bits``, ``rows_per_shard``, ``slab_slots``, ``spilled``)
-    #: -- written by the parallel kernel, empty otherwise.  Purely
-    #: informational: `repro store shards` uses it to help operators
-    #: size ``--dedup-budget``; readers must not depend on it.
+    #: -- recorded only by stores of the former ``parallel`` kernel;
+    #: current writers leave it empty, since `repro store shards --bits`
+    #: projects the same layout from the rows.  Purely informational:
+    #: readers must not depend on it.
     shards: dict = field(default_factory=dict)
     #: v3 only: the chunk codec (``"zstd"``/``"zlib"``/``"raw"``) and the
     #: chunk table -- section name -> list of ``(offset, stored_length,
@@ -683,7 +684,6 @@ def _v2_header(
         index_entries=index_entries,
         index_matches=index_matches,
         index_sha256=index_sha,
-        shards=search.shard_layout() or {},
         radix=library.space.radix,
         library_family=library.family,
     )
@@ -774,7 +774,7 @@ def _save_v2_streamed(search: CascadeSearch, target: Path) -> StoreHeader:
     an incremental sha256, and the header's placeholder digest is
     patched in place before the atomic rename.  Peak extra memory is
     one ~:data:`_STREAM_ROWS`-row chunk instead of a whole second copy
-    of the closure -- the property that lets the parallel engine write
+    of the closure -- the property that lets a budgeted expansion write
     stores bigger than RAM headroom.
     """
     arrays = search.export_arrays()

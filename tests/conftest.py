@@ -83,3 +83,44 @@ def cost_table7(library3, search3):
 def nct_synthesizer():
     """Complete optimal-NCT BFS table on 3 wires (40320 functions)."""
     return NCTSynthesizer(NCTLibrary(3))
+
+
+@pytest.fixture(scope="session")
+def legacy_parallel_store():
+    """Rewrite a v2 store blob the way the former ``parallel`` kernel wrote it.
+
+    Stores built by that kernel carry ``kernel: "parallel"`` and a
+    recorded ``shards`` block in their header.  The header sits outside
+    the payload checksum, so only the header changes; the returned
+    callable maps ``(blob, shard_bits=6)`` to the legacy blob.
+    """
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.core.dedup import shard_of
+    from repro.core.kernel import hash_rows, pack_rows
+    from repro.core.store import _frame_header, _parse_frame
+
+    def rewrite(blob: bytes, shard_bits: int = 6) -> bytes:
+        header, start = _parse_frame(blob)
+        offset, length = header.sections["perms"]
+        perms = np.frombuffer(
+            blob, dtype=np.uint8, count=length, offset=start + offset
+        ).reshape(-1, header.degree)
+        hashes = hash_rows(pack_rows(perms, header.degree))
+        counts = np.bincount(
+            shard_of(hashes, shard_bits), minlength=1 << shard_bits
+        )
+        peak = int(counts.max())
+        shards = {
+            "shard_bits": shard_bits,
+            "slab_slots": 1 << max(8, (4 * peak - 1).bit_length()),
+            "rows_per_shard": [int(c) for c in counts],
+            "spilled": False,
+        }
+        legacy = replace(header, kernel="parallel", shards=shards)
+        return _frame_header(legacy) + blob[start:]
+
+    return rewrite
+

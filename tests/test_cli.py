@@ -349,16 +349,23 @@ class TestOtherCommands:
 
 
 class TestParallelPrecompute:
-    """`repro precompute --jobs/--dedup-budget/...` and `repro store shards`."""
+    """`repro precompute --dedup-budget/...`, `repro store shards`, and
+    stores written by the former ``parallel`` kernel (``--jobs``)."""
 
     @pytest.fixture(scope="class")
-    def parallel_store(self, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("par") / "closure.rpro")
+    def parallel_store(self, tmp_path_factory, legacy_parallel_store):
+        """A store as `precompute --jobs 2 --shard-bits 4` used to write."""
+        from pathlib import Path
+
+        path = Path(tmp_path_factory.mktemp("par") / "closure.rpro")
         assert main([
-            "precompute", path, "--cost-bound", "4", "--jobs", "2",
+            "precompute", str(path), "--cost-bound", "4",
             "--shard-bits", "4",
         ]) == 0
-        return path
+        path.write_bytes(
+            legacy_parallel_store(path.read_bytes(), shard_bits=4)
+        )
+        return str(path)
 
     def test_parallel_precompute_reports_shards(
         self, parallel_store, capsys
@@ -413,10 +420,31 @@ class TestParallelPrecompute:
     def test_parallel_flags_refuse_other_kernels(self, capsys, tmp_path):
         path = str(tmp_path / "bad.rpro")
         assert main([
-            "precompute", path, "--cost-bound", "3", "--jobs", "2",
+            "precompute", path, "--cost-bound", "3", "--shard-bits", "2",
             "--kernel", "translate",
         ]) == 1
-        assert "parallel-kernel options" in capsys.readouterr().err
+        assert "cannot combine with --kernel translate" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv, replacement",
+        [
+            (["precompute", "{out}", "--jobs", "2"], "--shard-bits"),
+            (["precompute", "{out}", "--kernel", "parallel"],
+             "kernel='vector'"),
+            (["plan", "--jobs", "2"], "--shard-bits and --dedup-budget"),
+        ],
+    )
+    def test_removed_flags_name_the_replacement(
+        self, capsys, tmp_path, argv, replacement
+    ):
+        out = str(tmp_path / "gone.rpro")
+        args = [a.replace("{out}", out) for a in argv]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and replacement in err
+        assert not (tmp_path / "gone.rpro").exists()
 
     def test_budget_spill_reported(self, capsys, tmp_path):
         path = str(tmp_path / "spill.rpro")
@@ -451,8 +479,9 @@ class TestParallelPrecompute:
         capsys.readouterr()
         assert main([
             "precompute", path, "--extend", "--cost-bound", "4",
-            "--jobs", "2",
+            "--shard-bits", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(parallel kernel)" in out
+        assert "(vector kernel)" in out
+        assert "dedup table: 4 shards" in out
         assert "[1, 18, 162, 1017, 5364]" in out

@@ -7,12 +7,16 @@ cannot silently change results.  If a change legitimately alters these
 numbers, that is a results change, not a refactor: update the constants
 here in the same commit and say why.
 
-Every closure-level assertion runs five ways -- against the live vector
-search, the byte-level ``translate`` reference kernel, the sharded
-``parallel`` engine, and store-roundtripped copies in both the legacy
-v1 and memory-mapped v2 formats (``dump_search``/``loads_search``) --
-so all three expansion kernels and both persistence formats are held to
-the same golden values.
+Every closure-level assertion runs against the live vector search, the
+vector engine with a single dedup shard (``unsharded``) and with a
+memory budget small enough to spill its dedup slabs to disk
+(``spilled``), the byte-level ``translate`` reference kernel, a store
+as the former ``parallel`` kernel wrote it (``parallel-kernel``: a v2
+header with ``kernel: "parallel"`` and a recorded shard layout), and
+store-roundtripped copies in the v1, v2 and v3 formats
+(``dump_search``/``loads_search``) -- so both expansion kernels, every
+dedup path and every persistence format are held to the same golden
+values.
 
 Documented deviations from the published Table 2 (see bench_table2.py):
 |G[2]| = 24 vs the paper's 30 and |G[3]| = 51 vs 52; the
@@ -54,32 +58,52 @@ GOLDEN_NAMED = {
 }
 
 
+#: Vector-engine options of the one-kernel variants.
+ENGINE_VARIANTS = {
+    "unsharded": {"shard_bits": 0},
+    # 64 KiB is far below the cost-7 table (~32 MB at 16 shards), so
+    # the slabs spill to memmap files within the first levels.
+    "spilled": {"shard_bits": 4, "memory_budget": 64 << 10},
+}
+
+
 @pytest.fixture(
     scope="module",
     params=[
-        "live", "translate-kernel", "parallel-kernel",
-        "store-v1", "store-v2", "store-v3",
+        "live", "translate-kernel", "parallel-kernel", "unsharded",
+        "spilled", "store-v1", "store-v2", "store-v3",
     ],
 )
-def closure(request, search3, library3):
-    """The cost-7 closure: all three kernels and every store format."""
+def closure(request, search3, library3, legacy_parallel_store):
+    """The cost-7 closure: both kernels, every dedup path, every store."""
+    from repro.core.search import CascadeSearch
+
     search3.extend_to(7)
     if request.param == "live":
-        return search3
-    if request.param in ("translate-kernel", "parallel-kernel"):
-        from repro.core.search import CascadeSearch
-
+        yield search3
+    elif request.param == "translate-kernel":
+        search = CascadeSearch(library3, kernel="translate")
+        search.extend_to(7)
+        yield search
+    elif request.param == "parallel-kernel":
+        blob = dump_search(search3, format_version=2)
+        yield loads_search(legacy_parallel_store(blob), library3)
+    elif request.param in ENGINE_VARIANTS:
         search = CascadeSearch(
-            library3,
-            track_parents=True,
-            kernel=request.param.removesuffix("-kernel"),
+            library3, kernel_options=ENGINE_VARIANTS[request.param]
         )
         search.extend_to(7)
-        return search
-    version = {"store-v1": 1, "store-v2": 2, "store-v3": 3}[request.param]
-    return loads_search(
-        dump_search(search3, format_version=version), library3
-    )
+        layout = search.shard_layout()
+        assert layout["spilled"] == (request.param == "spilled")
+        yield search
+        search.close()
+    else:
+        version = {"store-v1": 1, "store-v2": 2, "store-v3": 3}[
+            request.param
+        ]
+        yield loads_search(
+            dump_search(search3, format_version=version), library3
+        )
 
 
 @pytest.fixture(scope="module")
@@ -219,19 +243,18 @@ def ternary_library2():
         "store-v2", "store-v3",
     ],
 )
-def ternary_closure(request, ternary_library2):
-    """The ternary bound-4 closure: every kernel and mmap store format."""
+def ternary_closure(request, ternary_library2, legacy_parallel_store):
+    """The ternary bound-4 closure: both kernels, every mmap store form."""
     from repro.core.search import CascadeSearch
 
-    if request.param in ("live", "store-v2", "store-v3"):
-        search = CascadeSearch(ternary_library2, track_parents=True)
-    else:
-        search = CascadeSearch(
-            ternary_library2,
-            track_parents=True,
-            kernel=request.param.removesuffix("-kernel"),
-        )
+    kernel = "translate" if request.param == "translate-kernel" else "vector"
+    search = CascadeSearch(
+        ternary_library2, track_parents=True, kernel=kernel
+    )
     search.extend_to(4)
+    if request.param == "parallel-kernel":
+        blob = legacy_parallel_store(dump_search(search, format_version=2))
+        return loads_search(blob, ternary_library2)
     if request.param.startswith("store-"):
         version = {"store-v2": 2, "store-v3": 3}[request.param]
         return loads_search(

@@ -5,8 +5,9 @@ cost model it must discover the same levels, in the same discovery
 order, with the same parent pointers as the byte-level reference
 kernel.  These tests pin that equivalence (the full cost-7 golden run
 lives in tests/test_golden_tables.py), plus the kernel-internal
-machinery: the dedup hash table's exactness under forced collisions and
-the bulk pack/unpack adapters.
+machinery: the dedup table's exactness under forced collisions, the
+bulk pack/unpack adapters, ``kernel_options`` validation and the
+``close()`` contract.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.kernel import (
     pack_rows,
 )
 from repro.core.search import CascadeSearch
+from repro.errors import InvalidValueError
 from repro.gates.kinds import GateKind
 from repro.gates.library import GateLibrary
 from repro.perm.permutation import pack_images, unpack_images
@@ -142,15 +144,18 @@ class TestForcedCollisions:
         """
         import repro.core.kernel as kernel_module
 
-        real_hash = kernel_module.hash_rows
+        calls = []
 
         def degenerate(packed):
+            calls.append(packed.shape[0])
             return np.zeros(packed.shape[0], dtype=np.uint64)
 
         monkeypatch.setattr(kernel_module, "hash_rows", degenerate)
         colliding = CascadeSearch(library2, kernel="vector")
         colliding.extend_to(4)
-        monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
+        monkeypatch.undo()
+        # every committed row was hashed through the patch
+        assert sum(calls) >= colliding.total_seen()
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         assert colliding.stats().level_sizes == reference.stats().level_sizes
@@ -166,14 +171,17 @@ class TestForcedCollisions:
         import repro.core.kernel as kernel_module
 
         real_hash = kernel_module.hash_rows
+        calls = []
 
         def tiny(packed):
+            calls.append(packed.shape[0])
             return real_hash(packed) & np.uint64(3)
 
         monkeypatch.setattr(kernel_module, "hash_rows", tiny)
         colliding = CascadeSearch(library2, kernel="vector")
         colliding.extend_to(4)
-        monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
+        monkeypatch.undo()
+        assert sum(calls) >= colliding.total_seen()
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         # Even the discovery order and parent pointers survive, because
@@ -257,3 +265,75 @@ class TestRowAccessors:
             if mask == search3.s_mask
         ]
         assert rows == expected
+
+
+class TestKernelOptions:
+    def test_unknown_key_names_the_accepted_keys(self, library3):
+        with pytest.raises(InvalidValueError) as excinfo:
+            CascadeSearch(library3, kernel_options={"job": 2})
+        message = str(excinfo.value)
+        assert "'job'" in message
+        for key in ("shard_bits", "memory_budget", "checkpoint_dir"):
+            assert key in message
+
+    def test_unknown_key_refused_by_use_kernel(self, library3):
+        search = CascadeSearch(library3, kernel="translate")
+        with pytest.raises(InvalidValueError, match="accepted keys"):
+            search.use_kernel("vector", {"shards": 3})
+
+    @pytest.mark.parametrize(
+        "kernel, options, replacement",
+        [
+            ("parallel", None, "kernel='vector'"),
+            ("vector", {"jobs": 2}, "inline"),
+            ("vector", {"relation_filter": False}, "always on"),
+        ],
+    )
+    def test_removed_names_point_at_the_replacement(
+        self, library3, kernel, options, replacement
+    ):
+        with pytest.raises(InvalidValueError, match=replacement):
+            CascadeSearch(library3, kernel=kernel, kernel_options=options)
+
+    def test_kernels(self):
+        from repro.core.search import KERNELS
+
+        assert KERNELS == ("vector", "translate")
+
+
+class TestCloseContract:
+    """close() releases spill/checkpoint files; a RAM-resident search
+    keeps answering lookups and extending afterwards."""
+
+    @pytest.mark.parametrize("kernel", ["vector", "translate"])
+    def test_lookups_and_extension_survive_close(self, library3, kernel):
+        search = CascadeSearch(library3, kernel=kernel)
+        search.extend_to(3)
+        perm, _mask = search.level(3)[5]
+        search.close()
+        search.close()  # idempotent
+        assert search.cost_of(perm) == 3
+        assert len(search.witness_indices(perm)) == 3
+        search.extend_to(4)
+        deeper, _mask = search.level(4)[7]
+        assert search.cost_of(deeper) == 4
+        assert search.stats().level_sizes == (1, 18, 162, 1017, 5364)
+
+    def test_spilled_table_refuses_lookups_after_close(
+        self, library3, tmp_path
+    ):
+        search = CascadeSearch(
+            library3,
+            kernel_options={"shard_bits": 2, "memory_budget": 1 << 12},
+        )
+        search.extend_to(3)
+        spill_dir = search._engine.dedup_table.spill_dir
+        assert search.shard_layout()["spilled"] and spill_dir.exists()
+        perm, _mask = search.level(3)[5]
+        search.close()
+        assert not spill_dir.exists()
+        # level reads still work; exact lookups need the slabs
+        assert search.level(3)[5][0] == perm
+        with pytest.raises(InvalidValueError, match="closed"):
+            search.cost_of(perm)
+

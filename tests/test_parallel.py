@@ -1,13 +1,16 @@
-"""The sharded parallel expansion engine vs the vector/translate kernels.
+"""The vector engine's dedup, spill and checkpoint paths vs the oracle.
 
-The parallel engine is only allowed to be *faster*: for any library,
-cost model, shard count, worker count, memory budget and spill state it
-must produce levels byte-identical in content and discovery order --
-with identical parent pointers -- to both reference kernels.  These
-tests pin that determinism contract, the relation filter's exactness,
-the sharded dedup table's claim protocol under forced collisions and
-claim races, spill-to-disk behaviour, and the crash-mid-level
-checkpoint/resume path.
+The array engine runs candidates through the relation filter and a
+sharded dedup table that may spill to disk and checkpoint.  None of that
+may change results: for any library, cost model, shard count, memory
+budget and spill state it must produce levels byte-identical in content
+and discovery order -- with identical parent pointers -- to the
+``translate`` reference kernel.  These tests pin that determinism
+contract, the relation filter's exactness, the dedup table's claim
+protocol under forced collisions and claim races, spill-to-disk
+behaviour, the crash-mid-level checkpoint/resume path, and the
+structured errors for the removed ``parallel`` kernel.  (The module and
+several test names keep the former kernel's name.)
 """
 
 import json
@@ -17,8 +20,13 @@ import pytest
 
 from repro.core.cost import CostModel
 from repro.core.dedup import ShardedDedupTable, parse_budget, shard_of
-from repro.core.kernel import compute_masks, hash_rows, pack_rows
-from repro.core.parallel import RelationFilter, ShardedExpansion
+from repro.core.kernel import (
+    VectorEngine,
+    compute_masks,
+    hash_rows,
+    pack_rows,
+)
+from repro.core.relations import RelationFilter
 from repro.core.search import CascadeSearch
 from repro.errors import InvalidValueError
 from repro.gates.kinds import GateKind
@@ -26,6 +34,7 @@ from repro.gates.library import GateLibrary
 
 
 def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
+    """The translate oracle, the default vector engine and a tuned one."""
     kwargs = {"track_parents": track_parents}
     if cost_model is not None:
         kwargs["cost_model"] = cost_model
@@ -33,7 +42,10 @@ def _trio(library, cost_model=None, bound=3, track_parents=True, options=None):
         CascadeSearch(library, kernel="translate", **kwargs),
         CascadeSearch(library, kernel="vector", **kwargs),
         CascadeSearch(
-            library, kernel="parallel", kernel_options=options, **kwargs
+            library,
+            kernel="vector",
+            kernel_options=options or {"shard_bits": 3},
+            **kwargs,
         ),
     ]
     for search in searches:
@@ -53,15 +65,31 @@ def _assert_identical(reference, other, bound):
         )
 
 
+class _Recorder:
+    """Minimal progress sink: keeps every event as a dict."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append({"event": event, **fields})
+
+    def plans(self):
+        return {
+            e["level"]: e for e in self.events if e["event"] == "plan"
+        }
+
+
 class TestKernelTrioEquivalence:
     def test_three_qubit_unit_costs(self, library3):
-        translate, vector, parallel = _trio(library3, bound=4)
+        translate, vector, tuned = _trio(library3, bound=4)
         _assert_identical(translate, vector, 4)
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, tuned, 4)
 
     def test_two_qubit(self, library2):
-        translate, _vector, parallel = _trio(library2, bound=5)
-        _assert_identical(translate, parallel, 5)
+        translate, vector, tuned = _trio(library2, bound=5)
+        _assert_identical(translate, vector, 5)
+        _assert_identical(translate, tuned, 5)
 
     @pytest.mark.parametrize(
         "model",
@@ -73,107 +101,120 @@ class TestKernelTrioEquivalence:
     )
     def test_non_unit_cost_models(self, library3, model):
         """Relation costs differ per gate; the filter must respect them."""
-        translate, _vector, parallel = _trio(
+        translate, vector, _tuned = _trio(
             library3, cost_model=model, bound=4
         )
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, vector, 4)
 
     def test_partial_gate_alphabet(self):
         """V without V+: no inverse back-edges, fewer relations."""
         library = GateLibrary(3, kinds=(GateKind.V, GateKind.CNOT))
-        translate, _vector, parallel = _trio(library, bound=4)
-        _assert_identical(translate, parallel, 4)
+        translate, vector, _tuned = _trio(library, bound=4)
+        _assert_identical(translate, vector, 4)
 
     def test_counting_only(self, library3):
-        translate, _vector, parallel = _trio(
+        translate, vector, _tuned = _trio(
             library3, bound=4, track_parents=False
         )
-        _assert_identical(translate, parallel, 4)
+        _assert_identical(translate, vector, 4)
 
     def test_four_qubit_multiword_masks(self):
         """176 labels -> 3 mask words: the filter's multiword path."""
         library = GateLibrary(4)
-        translate, _vector, parallel = _trio(library, bound=2)
-        _assert_identical(translate, parallel, 2)
+        translate, vector, _tuned = _trio(library, bound=2)
+        _assert_identical(translate, vector, 2)
 
     @pytest.mark.parametrize("shard_bits", [0, 1, 5, 9])
     def test_shard_count_is_invisible(self, library3, shard_bits):
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         sharded = CascadeSearch(
-            library3,
-            kernel="parallel",
-            kernel_options={"shard_bits": shard_bits},
+            library3, kernel_options={"shard_bits": shard_bits}
         )
         sharded.extend_to(4)
         _assert_identical(reference, sharded, 4)
 
     def test_relation_filter_off_is_identical(self, library3):
-        plain = CascadeSearch(
-            library3,
-            kernel="parallel",
-            kernel_options={"relation_filter": False},
-        )
-        plain.extend_to(4)
-        filtered = CascadeSearch(library3, kernel="parallel")
-        filtered.extend_to(4)
-        _assert_identical(filtered, plain, 4)
-
-    def test_worker_pool_jobs(self, library3):
-        """jobs=2 drives the mmap-scratch worker-pool compose path."""
-        reference = CascadeSearch(library3, kernel="vector")
-        reference.extend_to(5)
-        pooled = CascadeSearch(
-            library3, kernel="parallel", kernel_options={"jobs": 2}
-        )
-        try:
-            pooled.extend_to(5)
-            _assert_identical(reference, pooled, 5)
-        finally:
-            pooled.close()
+        """Under a non-unit cost model the filter still prunes, yet the
+        closure equals the unfiltered translate oracle's."""
+        model = CostModel(v_cost=2, vdag_cost=1, cnot_cost=1)
+        oracle = CascadeSearch(library3, model, kernel="translate")
+        oracle.extend_to(5)
+        recorder = _Recorder()
+        filtered = CascadeSearch(library3, model)
+        filtered.set_progress(recorder)
+        filtered.extend_to(5)
+        plans = recorder.plans().values()
+        assert any(plan["kept"] < plan["planned"] for plan in plans)
+        _assert_identical(oracle, filtered, 5)
 
     def test_kernel_handoff_vector_to_parallel(self, library3):
-        """use_kernel upgrades mid-closure and stays byte-identical."""
+        """The removed parallel kernel is refused with its replacement
+        named; the vector closure stays usable and extends exactly."""
         handoff = CascadeSearch(library3, kernel="vector")
         handoff.extend_to(3)
-        handoff.use_kernel("parallel", {"shard_bits": 3})
+        with pytest.raises(InvalidValueError, match="kernel='vector'"):
+            handoff.use_kernel("parallel", {"shard_bits": 3})
+        assert handoff.kernel == "vector"
         handoff.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         _assert_identical(reference, handoff, 5)
 
-    def test_restored_store_extends_with_parallel_kernel(self, library3):
+    def test_kernel_options_switch_mid_closure(self, library3):
+        """New options replay the live closure into a fresh engine."""
+        switched = CascadeSearch(library3)
+        switched.extend_to(3)
+        switched.use_kernel("vector", {"shard_bits": 2})
+        switched.extend_to(5)
+        assert switched.shard_layout()["shard_bits"] == 2
+        reference = CascadeSearch(library3, kernel="translate")
+        reference.extend_to(5)
+        _assert_identical(reference, switched, 5)
+
+    def test_restored_store_extends_with_parallel_kernel(
+        self, library3, legacy_parallel_store
+    ):
+        """A store the former parallel kernel wrote deepens exactly."""
         from repro.core.store import dump_search, loads_search
 
-        base = CascadeSearch(library3, kernel="vector")
+        base = CascadeSearch(library3)
         base.extend_to(3)
-        restored = loads_search(dump_search(base), library3)
-        restored.use_kernel("parallel")
+        blob = legacy_parallel_store(dump_search(base))
+        restored = loads_search(blob, library3)
+        restored.use_kernel("vector", {"shard_bits": 3})
         restored.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         _assert_identical(reference, restored, 5)
+
+
+def _patch_hash(monkeypatch, fake):
+    """Route the engine's row hashing through *fake*; returns call log."""
+    import repro.core.kernel as kernel_module
+
+    calls = []
+
+    def counted(packed):
+        calls.append(packed.shape[0])
+        return fake(packed)
+
+    monkeypatch.setattr(kernel_module, "hash_rows", counted)
+    return calls
 
 
 class TestForcedCollisions:
     def test_constant_hash_still_exact(self, library2, monkeypatch):
         """Every candidate hashes (and shards) identically; still exact."""
-        import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
-
-        real_hash = kernel_module.hash_rows
-
-        def degenerate(packed):
-            return np.zeros(packed.shape[0], dtype=np.uint64)
-
-        monkeypatch.setattr(kernel_module, "hash_rows", degenerate)
-        monkeypatch.setattr(parallel_module, "hash_rows", degenerate)
+        calls = _patch_hash(
+            monkeypatch, lambda packed: np.zeros(packed.shape[0], np.uint64)
+        )
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 4}
+            library2, kernel_options={"shard_bits": 4}
         )
         colliding.extend_to(4)
-        monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
+        monkeypatch.undo()
+        assert sum(calls) >= colliding.total_seen()
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         assert colliding.stats().level_sizes == reference.stats().level_sizes
@@ -187,22 +228,15 @@ class TestForcedCollisions:
     ):
         """A 2-bit hash shards everything into shard 0 and collides
         constantly inside it, yet order and parents match the seed."""
-        import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
-
-        real_hash = kernel_module.hash_rows
-
-        def tiny(packed):
-            return real_hash(packed) & np.uint64(3)
-
-        monkeypatch.setattr(kernel_module, "hash_rows", tiny)
-        monkeypatch.setattr(parallel_module, "hash_rows", tiny)
+        calls = _patch_hash(
+            monkeypatch, lambda packed: hash_rows(packed) & np.uint64(3)
+        )
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 6}
+            library2, kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
-        monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
+        monkeypatch.undo()
+        assert sum(calls) >= colliding.total_seen()
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, colliding, 4)
@@ -212,22 +246,16 @@ class TestForcedCollisions:
     ):
         """Hashes differing only in shard bits: every slab sees slot-0
         claim races among all of its candidates (cross-shard protocol)."""
-        import repro.core.kernel as kernel_module
-        import repro.core.parallel as parallel_module
-
-        real_hash = kernel_module.hash_rows
-
-        def top_heavy(packed):
-            return real_hash(packed) & ~np.uint64((1 << 58) - 1)
-
-        monkeypatch.setattr(kernel_module, "hash_rows", top_heavy)
-        monkeypatch.setattr(parallel_module, "hash_rows", top_heavy)
+        calls = _patch_hash(
+            monkeypatch,
+            lambda packed: hash_rows(packed) & ~np.uint64((1 << 58) - 1),
+        )
         colliding = CascadeSearch(
-            library2, kernel="parallel", kernel_options={"shard_bits": 6}
+            library2, kernel_options={"shard_bits": 6}
         )
         colliding.extend_to(4)
-        monkeypatch.setattr(kernel_module, "hash_rows", real_hash)
-        monkeypatch.setattr(parallel_module, "hash_rows", real_hash)
+        monkeypatch.undo()
+        assert sum(calls) >= colliding.total_seen()
         reference = CascadeSearch(library2, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, colliding, 4)
@@ -348,11 +376,10 @@ class TestShardedDedupTable:
 
 class TestSpilledExpansion:
     def test_tiny_budget_spills_and_stays_exact(self, library3):
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         budgeted = CascadeSearch(
             library3,
-            kernel="parallel",
             kernel_options={"shard_bits": 4, "memory_budget": 1 << 14},
         )
         budgeted.extend_to(4)
@@ -361,12 +388,13 @@ class TestSpilledExpansion:
         budgeted.close()
 
     def test_shard_layout_reported(self, library3):
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(library3)
         search.extend_to(3)
         layout = search.shard_layout()
         assert layout["shard_bits"] == 6
         assert sum(layout["rows_per_shard"]) == search.total_seen()
-        assert CascadeSearch(library3, kernel="vector").shard_layout() is None
+        translate = CascadeSearch(library3, kernel="translate")
+        assert translate.shard_layout() is None
 
 
 class TestCheckpointResume:
@@ -375,20 +403,34 @@ class TestCheckpointResume:
         options.update(extra)
         return options
 
+    def _crash_mid_level(self, search, monkeypatch):
+        """Fail after dedup mutated the slabs, before the checkpoint."""
+
+        def crash_after_dedup(self, cand, ch, parents, gates):
+            self._table.reserve(ch, self._hashes, self.n_rows)
+            self._table.dedup_commit(
+                cand.view(np.uint64), ch,
+                self._perms.view(np.uint64), self.n_rows,
+            )
+            raise RuntimeError("simulated crash mid-level")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(VectorEngine, "_commit_level", crash_after_dedup)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                search.extend_to(search.expanded_to + 1)
+
     def test_clean_resume_continues_identically(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         first.extend_to(3)
         first.close()
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         assert resumed.was_restored and resumed.expanded_to == 3
         resumed.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         _assert_identical(reference, resumed, 5)
         resumed.close()
@@ -400,40 +442,25 @@ class TestCheckpointResume:
         the level checkpoint: resume must sweep the in-flight claims and
         uncommitted rows and land on the reference closure."""
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         first.extend_to(3)
-
-        real_commit = ShardedExpansion._commit_level
-
-        def crash_after_dedup(self, cand, ch, parents, gates):
-            self._dedup_insert(cand, ch)  # slabs now hold claims/commits
-            raise RuntimeError("simulated crash mid-level")
-
-        monkeypatch.setattr(
-            ShardedExpansion, "_commit_level", crash_after_dedup
-        )
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            first.extend_to(4)
-        monkeypatch.setattr(ShardedExpansion, "_commit_level", real_commit)
+        self._crash_mid_level(first, monkeypatch)
         del first  # no close(): a crashed process would not clean up
 
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         assert resumed.was_restored and resumed.expanded_to == 3
         resumed.extend_to(5)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(5)
         _assert_identical(reference, resumed, 5)
         resumed.close()
 
     def test_corrupted_slab_file_is_rebuilt(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         first.extend_to(3)
         first.close()
@@ -444,27 +471,24 @@ class TestCheckpointResume:
         data[:] = np.uint64(0x1234567800000001)
         del data
         resumed = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         assert resumed.expanded_to == 3
         resumed.extend_to(4)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, resumed, 4)
         resumed.close()
 
     def test_incompatible_checkpoint_is_refused(self, library3, tmp_path):
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         first.extend_to(3)
         first.close()
         other_model = CostModel(v_cost=2, vdag_cost=1, cnot_cost=1)
         fresh = CascadeSearch(
-            library3, other_model, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, other_model, kernel_options=self._options(tmp_path)
         )
         assert not fresh.was_restored and fresh.expanded_to == 0
         fresh.extend_to(3)
@@ -485,39 +509,26 @@ class TestCheckpointResume:
         from repro.core.store import dump_search, loads_search
 
         first = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         first.extend_to(3)
         blob = dump_search(first)
-        real_commit = ShardedExpansion._commit_level
-
-        def crash_after_dedup(self, cand, ch, parents, gates):
-            self._dedup_insert(cand, ch)
-            raise RuntimeError("simulated crash mid-level")
-
-        monkeypatch.setattr(
-            ShardedExpansion, "_commit_level", crash_after_dedup
-        )
-        with pytest.raises(RuntimeError):
-            first.extend_to(4)
-        monkeypatch.setattr(ShardedExpansion, "_commit_level", real_commit)
+        self._crash_mid_level(first, monkeypatch)
         del first
 
         # the precompute --extend path: load the store, point the
-        # parallel kernel at the crashed checkpoint dir, deepen
+        # engine at the crashed checkpoint dir, deepen
         restored = loads_search(blob, library3)
-        restored.use_kernel("parallel", self._options(tmp_path))
+        restored.use_kernel("vector", self._options(tmp_path))
         restored.extend_to(4)
-        reference = CascadeSearch(library3, kernel="vector")
+        reference = CascadeSearch(library3, kernel="translate")
         reference.extend_to(4)
         _assert_identical(reference, restored, 4)
         restored.close()
 
     def test_manifest_records_identity(self, library3, tmp_path):
         search = CascadeSearch(
-            library3, kernel="parallel",
-            kernel_options=self._options(tmp_path),
+            library3, kernel_options=self._options(tmp_path)
         )
         search.extend_to(2)
         search.close()
@@ -531,10 +542,10 @@ class TestCheckpointResume:
 class TestRelationFilter:
     def test_permuted_masks_match_composition(self, library3):
         """perm_g(mask(a)) must equal the mask of t_g . a exactly."""
-        search = CascadeSearch(library3, kernel="parallel")
+        search = CascadeSearch(library3)
         search.extend_to(3)
         engine = search._engine
-        rf = engine._filter
+        rf = engine._relation_filter()
         perms = engine.level_perms_raw(3)
         masks = engine.level_masks[3]
         tables = engine.gate_rows.tables
@@ -547,41 +558,22 @@ class TestRelationFilter:
             assert (got == expected).all()
 
     def test_filter_prunes_only_duplicates(self, library3):
-        """The filtered engine visits fewer candidates yet commits the
-        same rows -- the pruned mass was pure duplicates."""
-        counted = {}
-
-        class Counting(ShardedExpansion):
-            def _generate_candidates(self, chunks, total):
-                counted[self.n_levels] = total
-                return super()._generate_candidates(chunks, total)
-
-        filtered = Counting(
-            38, 8, CascadeSearch(library3, kernel="parallel")._engine.gate_rows
-        )
-        filtered.seed_identity()
-        plain = Counting(
-            38, 8,
-            CascadeSearch(library3, kernel="parallel")._engine.gate_rows,
-            relation_filter=False,
-        )
-        plain.seed_identity()
-        totals_filtered = {}
-        for cost in range(1, 5):
-            filtered.expand_level(cost)
-            totals_filtered[cost] = counted[cost]
-        counted.clear()
-        for cost in range(1, 5):
-            plain.expand_level(cost)
-        assert filtered.n_rows == plain.n_rows
-        assert filtered.offsets == plain.offsets
-        assert all(
-            totals_filtered[c] < counted[c] for c in range(2, 5)
-        ), (totals_filtered, counted)
+        """The filter drops candidates the back-edge filter kept, yet
+        the engine commits exactly the oracle's rows -- the pruned mass
+        was pure duplicates."""
+        recorder = _Recorder()
+        filtered = CascadeSearch(library3)
+        filtered.set_progress(recorder)
+        filtered.extend_to(4)
+        plans = recorder.plans()
+        assert all(plans[c]["kept"] < plans[c]["planned"] for c in (2, 3, 4))
+        oracle = CascadeSearch(library3, kernel="translate")
+        oracle.extend_to(4)
+        _assert_identical(oracle, filtered, 4)
 
     def test_relations_found_for_paper_library(self, library3):
-        search = CascadeSearch(library3, kernel="parallel")
-        rf = search._engine._filter
+        search = CascadeSearch(library3)
+        rf = search._engine._relation_filter()
         assert rf is not None and rf.active
         # The paper's library commutes across disjoint wire pairs, and
         # every gate has its adjoint in the alphabet (identity pairs).
@@ -590,96 +582,108 @@ class TestRelationFilter:
         assert rf._pair_q2 and rf._uncond.any()
         assert not rf._singles
 
+    def test_filter_is_built_on_first_expansion(self, library3):
+        """Constructing a search stays cheap: the filter waits for
+        the first expand_level."""
+        search = CascadeSearch(library3)
+        assert search._engine._filter is None
+        search.extend_to(1)
+        assert search._engine._filter
+
 
 class TestSyntheticSingleRelations:
     """A toy alphabet where a two-gate product equals a cheaper gate.
 
     The paper's library has no such relation on the full label space,
     so this pins the filter's 'single' rule directly: shift1 . shift1 =
-    shift2 with cost(shift2) = 1 < 2, and the engines must stay
-    byte-identical with the rule firing.
+    shift2 with cost(shift2) = 1 < 2, and the engine must stay
+    byte-identical to the seed loop with the rule firing.
     """
 
-    def _gate_rows(self):
-        from repro.core.kernel import GateRows
+    DEGREE = 8
 
-        degree = 8
-
+    def _tables(self):
         def shift_table(k):
             table = bytearray(range(256))
-            for i in range(degree):
-                table[i] = (i + k) % degree
+            for i in range(self.DEGREE):
+                table[i] = (i + k) % self.DEGREE
             return bytes(table)
 
-        # gates: shift1, shift2, shift6 (= shift2^-1 . shift... no --
-        # inverse of shift2), shift7 (= inverse of shift1)
-        tables = [shift_table(1), shift_table(2), shift_table(6),
-                  shift_table(7)]
-        return GateRows(
+        # shift1, shift2, shift6 (inverse of shift2), shift7 (of shift1)
+        return [shift_table(k) for k in (1, 2, 6, 7)]
+
+    def _seed_loop(self, tables, bound):
+        """The translate kernel's loop: per level, (perm, parent row, gate)."""
+        identity = bytes(range(self.DEGREE))
+        row_of = {identity: 0}
+        levels = [[(identity, -1, -1)]]
+        for _cost in range(bound):
+            frontier = []
+            for gi, table in enumerate(tables):
+                for perm, _parent, _gate in levels[-1]:
+                    product = perm.translate(table)
+                    if product not in row_of:
+                        row_of[product] = len(row_of)
+                        frontier.append((product, row_of[perm], gi))
+            levels.append(frontier)
+        return levels
+
+    def test_single_rule_is_detected_and_exact(self):
+        from repro.core.kernel import GateRows
+
+        tables = self._tables()
+        gate_rows = GateRows(
             tables,
             banned_masks=[0, 0, 0, 0],
             costs=[1, 1, 1, 1],
             inverse=[3, 2, 1, 0],
             mask_words=1,
-        ), degree
-
-    def test_single_rule_is_detected_and_exact(self):
-        gate_rows, degree = self._gate_rows()
-        rf = RelationFilter(gate_rows, degree, 1)
-        assert rf._singles, "shift1.shift1 = shift2 should register"
-        filtered = ShardedExpansion(degree, 2, gate_rows, shard_bits=2)
-        filtered.seed_identity()
-        plain = ShardedExpansion(
-            degree, 2, gate_rows, shard_bits=2, relation_filter=False
         )
-        plain.seed_identity()
-        from repro.core.kernel import VectorEngine
-
-        reference = VectorEngine(degree, 2, gate_rows)
-        reference.seed_identity()
+        rf = RelationFilter(gate_rows, self.DEGREE, 1)
+        assert rf._singles, "shift1.shift1 = shift2 should register"
+        engine = VectorEngine(self.DEGREE, 2, gate_rows, shard_bits=2)
+        engine.seed_identity()
         for cost in range(1, 6):
-            filtered.expand_level(cost)
-            plain.expand_level(cost)
-            reference.expand_level(cost)
+            engine.expand_level(cost)
+        assert engine._filter._singles  # the rule was live
+        expected = self._seed_loop(tables, 5)
         # the cyclic group C8: closure saturates at 8 rows
-        assert filtered.n_rows == plain.n_rows == reference.n_rows == 8
-        assert filtered.offsets == reference.offsets
-        assert (
-            filtered.all_perms_raw() == reference.all_perms_raw()
-        ).all()
-        for cost in range(reference.n_levels):
-            assert (
-                filtered.level_parents[cost]
-                == reference.level_parents[cost]
-            ).all()
-            assert (
-                filtered.level_gates[cost] == reference.level_gates[cost]
-            ).all()
+        assert engine.n_rows == 8
+        assert [engine.level_size(c) for c in range(6)] == [
+            len(level) for level in expected
+        ]
+        for cost, level in enumerate(expected):
+            assert engine.level_perms_raw(cost).tobytes() == b"".join(
+                perm for perm, _p, _g in level
+            )
+            if cost:
+                assert engine.level_parents[cost].tolist() == [
+                    parent for _perm, parent, _g in level
+                ]
+                assert engine.level_gates[cost].tolist() == [
+                    gate for _perm, _p, gate in level
+                ]
 
 
 class TestServingIntegration:
-    def test_freeze_releases_workers(self, library3):
-        search = CascadeSearch(
-            library3, kernel="parallel", kernel_options={"jobs": 2}
-        )
-        search.extend_to(5)
-        assert search._engine._pool is not None
-        search.freeze()
-        assert search._engine._pool is None
-        # row lookups still work after the pool is gone
-        perm, _mask = search.level(3)[5]
-        assert search.cost_of(perm) == 3
-        search.close()
-
-    def test_batch_synthesizer_over_parallel_closure(self, library3):
+    def test_batch_synthesizer_over_parallel_closure(
+        self, library3, legacy_parallel_store
+    ):
+        """A store the former parallel kernel wrote serves like a
+        default one."""
         from repro.core.batch import BatchSynthesizer
+        from repro.core.store import dump_search, loads_search
         from repro.gates import named
 
-        search = CascadeSearch(library3, kernel="parallel")
-        batch = BatchSynthesizer(search, cost_bound=5).warm()
+        built = CascadeSearch(library3)
+        built.extend_to(5)
+        legacy = loads_search(
+            legacy_parallel_store(dump_search(built)), library3
+        )
+        batch = BatchSynthesizer(legacy, cost_bound=5).warm()
         result = batch.synthesize(named.TARGETS["toffoli"])
         assert result.cost == 5
         reference = BatchSynthesizer(
-            CascadeSearch(library3, kernel="vector"), cost_bound=5
+            CascadeSearch(library3, kernel="translate"), cost_bound=5
         ).synthesize(named.TARGETS["toffoli"])
         assert str(result.circuit) == str(reference.circuit)

@@ -359,20 +359,24 @@ class TestStreamedWriter:
         verify_store(path)
 
     def test_streamed_parallel_kernel_roundtrip(self, library3, tmp_path):
-        search = CascadeSearch(library3, kernel="parallel")
-        search.extend_to(4)
-        path = tmp_path / "parallel.rpro"
-        written = save_search(search, path)
-        assert written.shards["shard_bits"] == 6
-        assert sum(written.shards["rows_per_shard"]) == search.total_seen()
-        header = read_header(path)
-        assert header.shards == written.shards
+        """Dedup-table options leave no trace in the store: a sharded,
+        spilled build streams the bytes of a default one (timings
+        aside), with header kernel "vector" and no shards block."""
+        plain = CascadeSearch(library3)
+        sharded = CascadeSearch(
+            library3,
+            kernel_options={"shard_bits": 3, "memory_budget": 1 << 12},
+        )
+        for search in (plain, sharded):
+            search.extend_to(4)
+            search._elapsed = 0.0
+        assert sharded.shard_layout()["spilled"]
+        path = tmp_path / "sharded.rpro"
+        written = save_search(sharded, path)
+        assert written.kernel == "vector" and written.shards == {}
+        assert path.read_bytes() == dump_search(plain)
         verify_store(path)
-        # vector-built store of the same closure differs only in the
-        # shards provenance + timings, and serves identical results
-        _h, _l, loaded = open_store(path)
-        assert loaded.stats().level_sizes == search.stats().level_sizes
-        search.close()
+        sharded.close()
 
     def test_vector_store_has_no_shard_metadata(self, v2_path):
         assert read_header(v2_path).shards == {}
@@ -446,3 +450,32 @@ class TestIndexVerificationCache:
             len(store_module._INDEX_VERIFIED)
             <= store_module._INDEX_VERIFIED_MAX
         )
+
+
+class TestLegacyParallelStores:
+    """Stores the former ``parallel`` kernel wrote stay readable."""
+
+    def test_opens_verifies_and_answers_like_default(
+        self, v2_path, search5, tmp_path, legacy_parallel_store
+    ):
+        legacy_path = tmp_path / "legacy.rpro"
+        legacy_path.write_bytes(legacy_parallel_store(v2_path.read_bytes()))
+        header = verify_store(legacy_path)
+        assert header.kernel == "parallel"
+        assert sum(header.shards["rows_per_shard"]) == search5.total_seen()
+        assert read_header(legacy_path) == header
+        _h, _l, legacy = open_store(legacy_path)
+        _h, _l, default = open_store(v2_path)
+        assert legacy.stats().level_sizes == default.stats().level_sizes
+        legacy_batch = BatchSynthesizer(legacy, cost_bound=5)
+        default_batch = BatchSynthesizer(default, cost_bound=5)
+        for name in ("toffoli", "peres", "swap_ab"):
+            target = named.TARGETS[name]
+            assert [
+                str(r.circuit) for r in legacy_batch.synthesize_all(target)
+            ] == [
+                str(r.circuit) for r in default_batch.synthesize_all(target)
+            ]
+        perm, _mask = default.level(4)[9]
+        assert legacy.cost_of(perm) == default.cost_of(perm) == 4
+

@@ -357,8 +357,10 @@ class TestKernelProgressEvents:
         assert commits[-1]["rows"] == search.stats().total_seen
 
     def test_parallel_kernel_reports_filter_and_checkpoints(self, tmp_path):
+        """The vector engine (which absorbed the former parallel
+        kernel's pipeline) reports filter pruning and checkpoints."""
         search, records = _expand_with_progress(
-            "parallel", checkpoint_dir=str(tmp_path / "ck")
+            "vector", checkpoint_dir=str(tmp_path / "ck")
         )
         try:
             plans = [r for r in records if r["event"] == "plan"]
