@@ -171,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,
-        help="query worker threads (default: 2)",
+        help="worker threads for client-sized queries: synth with "
+        "all, synth-batch, cost-table (default: 2)",
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=None,

@@ -44,7 +44,10 @@ QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile of a non-empty sample list."""
-    ordered = sorted(samples)
+    return _nearest_rank(sorted(samples), q)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[index]
 
@@ -62,8 +65,9 @@ def percentile_summary(
     """
     if not samples:
         return None
+    ordered = sorted(samples)
     return {
-        name: round(percentile(samples, q) * scale, 4)
+        name: round(_nearest_rank(ordered, q) * scale, 4)
         for name, q in QUANTILES
     }
 

@@ -4,25 +4,33 @@
 serve``: it owns a registry of open stores (each a frozen
 :class:`~repro.core.search.CascadeSearch` wrapped by a warmed
 :class:`~repro.core.batch.BatchSynthesizer`), a bounded thread pool for
-the GIL-bound query work, and a coalescing queue between them.
+the query work whose size the client picks, and a coalescing queue in
+front of that pool.
 
 Concurrency model
 -----------------
 
-* The asyncio event loop only ever *frames* requests and responses; no
-  query math runs on it, so accepts and health checks stay responsive
-  while workers chew on big batches.
-* Query operations are enqueued as jobs on an ``asyncio.Queue`` with a
-  bounded depth (back-pressure: a flooded server makes clients wait on
-  ``write`` instead of buffering unboundedly).
+* A single-target ``synth`` (``all`` false) runs **inline on the event
+  loop**.  Its work is one witness walk bounded by the cost bound
+  (sub-millisecond on a cost-7 store), cheaper than the two thread
+  handoffs a pool dispatch costs on a GIL-bound process.  It records a
+  queue wait of 0, as ``healthz`` does.
+* Work whose size the client picks -- ``synth`` with ``all: true``,
+  ``synth-batch`` and ``cost-table`` -- goes to the pool, so a big
+  batch never stalls accepts, health checks or single-target answers.
+  The op and its params choose the path; there is no option.
+* Pooled jobs are enqueued on an ``asyncio.Queue`` with a bounded depth
+  (back-pressure: a flooded server makes clients wait on ``write``
+  instead of buffering unboundedly).
 * A dispatcher task drains the queue, **coalescing** everything
-  currently waiting (up to ``max_batch`` jobs) into one executor call
-  -- so a burst of 64 concurrent single-target requests costs one
-  thread hop, not 64.  A semaphore sized to the pool keeps at most
-  ``workers`` batches in flight, which bounds thread-pool queue growth.
+  currently waiting (up to ``max_batch`` jobs) into one executor call,
+  so a burst of queued jobs costs one thread hop.  A semaphore sized to
+  the pool keeps at most ``workers`` batches in flight, which bounds
+  thread-pool queue growth.
 * Workers only touch frozen, warmed state (see the thread-safety
   contract on :class:`~repro.core.batch.BatchSynthesizer`), so any
-  number of in-flight batches can read the same closures.
+  number of in-flight batches can read the same closures alongside the
+  inline path.
 * Store opens (startup and SIGHUP reload) run on a **dedicated
   single-thread opener executor**, never on the query pool: a reload
   queued behind a saturated pool would wait on the very jobs whose
@@ -53,15 +61,15 @@ unknown stores, over-bound queries) and ``server_errors`` (5xx-mapped)
 so client mistakes cannot inflate the server-fault signal;
 ``errors`` stays their sum for pre-split scrapers.
 
-Since PR 10 the counters live in a process-wide
+The counters live in a process-wide
 :class:`~repro.telemetry.MetricsRegistry` (``self.telemetry``) and the
 ``healthz`` payload *reads them back* from it -- one source of truth,
 so a Prometheus scrape of ``GET /metrics`` and a ``healthz`` poll can
 never disagree.  The access log is written by the shared
-:class:`~repro.telemetry.AccessLogWriter` (same single-thread,
-fire-and-forget, rotate-between-lines discipline this class used to
-implement inline), which also exports the writer's own health --
-records/bytes written, rotations, queue depth -- as metrics.
+:class:`~repro.telemetry.AccessLogWriter` (single thread,
+fire-and-forget, batched writes, rotation between lines), which also
+exports the writer's own health -- records/bytes written, rotations,
+queue depth -- as metrics.
 """
 
 from __future__ import annotations
@@ -168,7 +176,8 @@ class SynthesisService:
             ``ALIAS=PATH`` specs (see :mod:`repro.server.registry`).
         cost_bound: serve only costs up to this bound (default: each
             store's full expanded bound; must be within every store's).
-        workers: worker threads for query execution.
+        workers: worker threads for the pooled queries (everything
+            but single-target ``synth``).
         max_batch: coalescing limit -- the most queued jobs one executor
             dispatch may absorb.
         store_dir: also serve every ``*.rpro`` file in this directory
@@ -263,11 +272,11 @@ class SynthesisService:
             self._m_queries.preseed(op)
         self._m_batches = reg.counter(
             "repro_batches_executed_total",
-            "Coalesced executor dispatches.",
+            "Coalesced executor dispatches (pooled ops only).",
         )
         self._m_coalesced = reg.counter(
             "repro_jobs_coalesced_total",
-            "Query jobs absorbed into coalesced batches.",
+            "Pooled query jobs absorbed into coalesced batches.",
         )
         self._m_errors = reg.counter(
             "repro_request_errors_total",
@@ -428,6 +437,16 @@ class SynthesisService:
                 if op == "store-info":
                     result = self._do_store_info(alias, state)
                     trace["execute"] = time.perf_counter() - started
+                elif op == "synth" and params.get("all", False) is False:
+                    # One witness walk, bounded by the cost bound: run
+                    # it here, with no thread hop.  Any other `all`
+                    # (true, or ill-typed and refused by _run_synth)
+                    # takes the pool with the other client-sized work.
+                    self._check_accepting()
+                    try:
+                        result = _run_synth(state, params)
+                    finally:
+                        trace["execute"] = time.perf_counter() - started
                 elif op == "synth":
                     result = await self._submit(
                         lambda: _run_synth(state, params), trace
@@ -495,9 +514,12 @@ class SynthesisService:
         # ordered, and a stalled log device never blocks the loop.
         self._log_writer.submit(record)
 
-    async def _submit(self, fn: Callable[[], dict], trace: dict) -> dict:
+    def _check_accepting(self) -> None:
         if self._queue is None or self._closing:
             raise ServerError("service is not accepting queries")
+
+    async def _submit(self, fn: Callable[[], dict], trace: dict) -> dict:
+        self._check_accepting()
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         job = _Job(fn, future, loop)
@@ -620,7 +642,7 @@ class SynthesisService:
         }
 
 
-# -- worker-thread query functions (pure reads of frozen state) ------------------------
+# -- query functions (pure reads of frozen state, on a worker or the loop) -------------
 
 
 def _run_jobs(jobs: list[_Job]) -> None:
@@ -666,9 +688,19 @@ def _check_query_bound(state: StoreState, params: dict) -> int:
     from repro.io import resolve_cost_bound
 
     bound = params.get("cost_bound")
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    if bound is not None and (
+        not isinstance(bound, int) or isinstance(bound, bool) or bound < 0
+    ):
         raise ProtocolError("cost_bound must be a non-negative integer")
     return resolve_cost_bound(bound, state.cost_bound, state.path)
+
+
+def _flag(params: dict, name: str, default: bool) -> bool:
+    """A boolean query flag; anything but ``true``/``false`` is refused."""
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{name} must be a boolean")
+    return value
 
 
 def _synthesize_bounded(
@@ -701,9 +733,9 @@ def _run_synth(state: StoreState, params: dict) -> dict:
 
     target = _parse_spec(state, params.get("target"))
     bound = _check_query_bound(state, params)
-    allow_not = bool(params.get("allow_not", True))
+    allow_not = _flag(params, "allow_not", True)
     results = _synthesize_bounded(
-        state, target, bound, allow_not, bool(params.get("all", False))
+        state, target, bound, allow_not, _flag(params, "all", False)
     )
     return {
         "target": target.cycle_string(),
@@ -730,7 +762,7 @@ def _run_synth_batch(state: StoreState, params: dict) -> dict:
     if not isinstance(specs, list):
         raise ProtocolError("targets must be a list of spec strings")
     bound = _check_query_bound(state, params)
-    allow_not = bool(params.get("allow_not", True))
+    allow_not = _flag(params, "allow_not", True)
 
     entries: list[dict] = []
     failures = 0
@@ -781,7 +813,7 @@ def _run_cost_table(state: StoreState, params: dict) -> dict:
         "b_sizes": list(table.b_sizes[: bound + 1]),
         "a_sizes": list(table.a_sizes[: bound + 1]),
     }
-    if params.get("include_members", False):
+    if _flag(params, "include_members", False):
         payload["members"] = [
             [perm.cycle_string() for perm in members]
             for members in classes

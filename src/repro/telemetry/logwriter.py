@@ -1,25 +1,30 @@
 """Shared NDJSON access-log writer with rotation and visibility.
 
-The service grew this logic inline (single log thread, fire-and-forget
-submits, logrotate-style shifting between whole lines); the router now
-needs an identical writer for its own access log, and the satellite
-fix in PR 10 wants the writer *observable* -- today a wedged log
-device drops records silently and nothing counts them.  This class is
-that logic extracted verbatim, plus a metric set:
+One writer serves both the service's and the router's access log: a
+single log thread, fire-and-forget submits, logrotate-style shifting
+between whole lines, plus a metric set that makes a wedged or full
+log device visible instead of silently dropping records:
 
 * ``<prefix>_log_records_written_total`` / ``<prefix>_log_bytes_written_total``
-  -- what actually reached ``write()`` (a flatlining rate under live
+  -- what actually reached the file (a flatlining rate under live
   traffic is the wedged-device signal).
 * ``<prefix>_log_write_errors_total`` -- records dropped because the
-  device errored (the previously-silent branch).
+  device errored.
 * ``<prefix>_log_rotations_total`` and a scrape-time
   ``<prefix>_log_queue_depth`` gauge -- a growing queue means the log
   thread is falling behind the loop.
 
-Threading contract (inherited from the service): :meth:`submit` may be
-called from any thread and never blocks on I/O; all writes and
-rotations happen on the writer's single thread, between whole lines,
-so every file in a rotated set ends on a complete record.
+Threading contract: :meth:`submit` may be called from any thread and
+never blocks on I/O; all writes and rotations happen on the writer's
+single thread, between whole lines, so every file in a rotated set
+ends on a complete record.
+
+Writes are batched: :meth:`submit` appends the serialized line to a
+deque without waking anything, and the writer thread wakes every
+:data:`FLUSH_INTERVAL_S` to write everything pending and flush once.
+A record therefore reaches the file within one interval, and a hard
+crash (``os._exit``) loses at most that window; :meth:`close` drains
+every pending record first.
 """
 
 from __future__ import annotations
@@ -27,13 +32,19 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 
 from ..errors import SpecificationError
 from .registry import MetricsRegistry
 
 #: Default number of rotated files kept (``log.1 .. log.N``).
 DEFAULT_KEEP = 3
+
+#: Seconds between the writer thread's wake-ups.  Each wake-up writes
+#: every pending record and flushes once, so one ``write``/``flush``
+#: pair serves a whole interval's traffic instead of one request.
+FLUSH_INTERVAL_S = 0.02
 
 
 class AccessLogWriter:
@@ -67,7 +78,14 @@ class AccessLogWriter:
         self._max_bytes = max_bytes
         self._keep = DEFAULT_KEEP if keep is None else keep
         self._file = None
-        self._pool: ThreadPoolExecutor | None = None
+        #: Bytes in the open file: the rotation check reads this instead
+        #: of ``tell()``, which would cost a flush per line.
+        self._size = 0
+        #: Encoded lines waiting for the writer thread (appends and
+        #: pops are atomic, so no lock is needed).
+        self._pending: deque[bytes] = deque()
+        self._thread: threading.Thread | None = None
+        self._stop = threading.Event()
         self._m_records = None
         if registry is not None:
             self._m_records = registry.counter(
@@ -96,15 +114,18 @@ class AccessLogWriter:
 
     @property
     def started(self) -> bool:
-        return self._pool is not None
+        return self._thread is not None
 
     def start(self) -> "AccessLogWriter":
         """Open the file and spin up the writer thread (idempotent)."""
-        if self._pool is None:
-            self._file = open(self.path, "a", encoding="utf-8")
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-access-log"
+        if self._thread is None:
+            self._open()
+            self._stop = threading.Event()
+            self._thread = threading.Thread(
+                target=self._run, args=(self._stop,),
+                name="repro-access-log", daemon=True,
             )
+            self._thread.start()
         return self
 
     def close(self) -> None:
@@ -113,9 +134,10 @@ class AccessLogWriter:
         Callers on an event loop should run this in an executor, the
         same way the service drains its pools.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._stop.set()
+            thread.join()
         if self._file is not None:
             with contextlib.suppress(OSError):
                 self._file.close()
@@ -123,10 +145,7 @@ class AccessLogWriter:
 
     def queue_depth(self) -> int:
         """Records queued behind the writer thread right now."""
-        pool = self._pool
-        if pool is None:
-            return 0
-        return pool._work_queue.qsize()
+        return len(self._pending)
 
     # -- writing ----------------------------------------------------------------------
 
@@ -134,34 +153,65 @@ class AccessLogWriter:
         """Queue one record for writing (fire-and-forget, any thread).
 
         Serialization happens here (on the caller's thread) so the
-        record dict cannot be mutated between submit and write.
+        record dict cannot be mutated between submit and write.  A
+        record submitted before :meth:`start` or after :meth:`close`
+        is dropped.
         """
-        if self._pool is None:
+        if self._thread is None:
             return
         line = json.dumps(record, separators=(",", ":")) + "\n"
-        # Pool shut down mid-close: drop, exactly as the service did.
-        with contextlib.suppress(RuntimeError):
-            self._pool.submit(self._write_line, line)
+        self._pending.append(line.encode("utf-8"))
 
-    def _write_line(self, line: str) -> None:
-        # A full disk must degrade the log, never the serving path --
-        # but unlike the pre-PR-10 writer, the drop is now counted.
+    def _run(self, stop: threading.Event) -> None:
+        while not stop.wait(FLUSH_INTERVAL_S):
+            self._drain()
+        self._drain()
+
+    def _drain(self) -> None:
+        """Write every pending line in order, then flush once (log thread).
+
+        Rotation still happens at the first line boundary past
+        ``max_bytes``, in the middle of a batch if need be.  Records
+        count as written once their flush succeeds.
+        """
+        written: list[int] = []
+        while self._pending:
+            data = self._pending.popleft()
+            # A full disk must degrade the log, never the serving path
+            # -- but the drop is counted.
+            try:
+                self._file.write(data)
+            except (OSError, ValueError):
+                self._count_errors(1)
+                continue
+            written.append(len(data))
+            self._size += len(data)
+            if self._max_bytes is not None and self._size >= self._max_bytes:
+                self._flush(written)
+                written = []
+                with contextlib.suppress(OSError, ValueError):
+                    self._rotate()
+        self._flush(written)
+
+    def _flush(self, written: list[int]) -> None:
+        if not written:
+            return
         try:
-            self._file.write(line)
             self._file.flush()
         except (OSError, ValueError):
-            if self._m_records is not None:
-                self._m_errors.inc()
+            self._count_errors(len(written))
             return
         if self._m_records is not None:
-            self._m_records.inc()
-            self._m_bytes.inc(len(line.encode("utf-8")))
-        if (
-            self._max_bytes is not None
-            and self._file.tell() >= self._max_bytes
-        ):
-            with contextlib.suppress(OSError, ValueError):
-                self._rotate()
+            self._m_records.inc(len(written))
+            self._m_bytes.inc(sum(written))
+
+    def _count_errors(self, count: int) -> None:
+        if self._m_records is not None:
+            self._m_errors.inc(count)
+
+    def _open(self) -> None:
+        self._file = open(self.path, "ab")
+        self._size = os.fstat(self._file.fileno()).st_size
 
     def _rotate(self) -> None:
         """Shift ``log -> log.1 -> ... -> log.N`` and reopen (log thread)."""
@@ -175,6 +225,6 @@ class AccessLogWriter:
             if os.path.exists(source):
                 os.replace(source, f"{path}.{index + 1}")
         os.replace(path, f"{path}.1")
-        self._file = open(path, "a", encoding="utf-8")
+        self._open()
         if self._m_records is not None:
             self._m_rotations.inc()

@@ -209,3 +209,63 @@ class TestCircuitRecordFuzz:
         except LIBRARY_ERRORS:
             return
         assert isinstance(circuit, Circuit)
+
+
+@pytest.fixture(scope="module")
+def query_state(tmp_path_factory):
+    from repro.core.search import CascadeSearch
+    from repro.core.store import save_search
+    from repro.gates.library import GateLibrary
+    from repro.server.service import open_store_state
+
+    path = tmp_path_factory.mktemp("fuzz-query") / "closure.rpro"
+    search = CascadeSearch(GateLibrary(3), track_parents=True)
+    search.extend_to(2)
+    save_search(search, path)
+    return open_store_state(str(path))
+
+
+class TestQueryParamsFuzz:
+    """Query params: a clean error or an answer, never a coerced flag."""
+
+    #: The boolean flags each store query reads.
+    FLAGS = {
+        "synth": ("all", "allow_not"),
+        "synth-batch": ("allow_not",),
+        "cost-table": ("include_members",),
+    }
+    _value = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 4),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(["true", "false", "1", "0", "", "swap_bc"]),
+        st.lists(st.sampled_from(["swap_bc", "(1,2)", "x"]), max_size=3),
+    )
+
+    @given(
+        op=st.sampled_from(sorted(FLAGS)),
+        params=st.dictionaries(
+            st.sampled_from([
+                "target", "targets", "cost_bound", "all", "allow_not",
+                "include_members",
+            ]),
+            _value,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_flags_and_bounds_are_never_coerced(self, query_state, op,
+                                                params):
+        from repro.server.service import execute_query
+
+        try:
+            payload = execute_query(query_state, op, params)
+        except LIBRARY_ERRORS:
+            return
+        assert isinstance(payload, dict)
+        for flag in self.FLAGS[op]:
+            if flag in params:
+                assert isinstance(params[flag], bool), (flag, params)
+        bound = params.get("cost_bound")
+        assert bound is None or (
+            type(bound) is int and 0 <= bound <= 2
+        ), params

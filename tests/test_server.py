@@ -461,6 +461,56 @@ class TestMalformedRequests:
             client.call("synth", target=123)
 
 
+class TestStrictQueryFlags:
+    """Flags must be JSON booleans and bounds integers, never coerced."""
+
+    @pytest.mark.parametrize("params", [
+        {"target": "peres", "allow_not": "false"},
+        {"target": "peres", "allow_not": 0},
+        {"target": "peres", "all": "yes"},
+        {"target": "peres", "all": 1},
+        {"target": "peres", "all": None},
+        {"target": "peres", "cost_bound": True},
+        {"target": "peres", "cost_bound": False},
+    ])
+    def test_synth_refuses_non_boolean_flags(self, client, params):
+        with pytest.raises(ProtocolError):
+            client.call("synth", **params)
+
+    def test_batch_and_cost_table_refuse_non_boolean_flags(self, client):
+        with pytest.raises(ProtocolError):
+            client.call("synth-batch", targets=["peres"], allow_not="false")
+        with pytest.raises(ProtocolError):
+            client.call("synth-batch", targets=["peres"], cost_bound=True)
+        with pytest.raises(ProtocolError):
+            client.call("cost-table", include_members=1)
+        with pytest.raises(ProtocolError):
+            client.call("cost-table", cost_bound=True)
+
+    def test_boolean_flags_still_served(self, client):
+        assert client.call(
+            "synth", target="peres", all=False, allow_not=False
+        )["cost"] == 4
+        assert client.call("cost-table", include_members=False)[
+            "cost_bound"
+        ] == BOUND
+
+    def test_http_query_flags(self, server):
+        status, payload = http_request(
+            server.address_text, "/cost-table?include_members=true"
+        )
+        assert status == 200 and "members" in payload
+        status, body = http_request(
+            server.address_text, "/cost-table?include_members=1"
+        )
+        assert status == 400 and body["error"]["code"] == "protocol"
+        status, body = http_request(
+            server.address_text, "/synth?all=1", method="POST",
+            body={"target": "peres"},
+        )
+        assert status == 400 and body["error"]["code"] == "protocol"
+
+
 class TestConcurrency:
     def test_concurrent_clients_agree_with_local_store(
         self, server, reference
@@ -618,6 +668,98 @@ class TestReload:
                 release.set()
                 await asyncio.gather(*jobs, return_exceptions=True)
                 await service.close()
+
+        asyncio.run(scenario())
+
+
+class TestInlineSynth:
+    """Single-target synth answers on the event loop; the rest pools."""
+
+    def test_synth_completes_while_pool_is_wedged(self, store_path):
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(store_path, workers=1, max_batch=1)
+            await service.start()
+            release = threading.Event()
+            entered = threading.Event()
+
+            def blocker() -> dict:
+                entered.set()
+                release.wait(30)
+                return {}
+
+            wedge = asyncio.ensure_future(service._submit(
+                blocker, {"queue_wait": 0.0, "execute": 0.0}
+            ))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 10), (
+                "worker never picked up the blocking job"
+            )
+            batch = None
+            try:
+                assert service._m_coalesced.value() == 1
+                payload = await asyncio.wait_for(service.handle(Request(
+                    op="synth", params={"target": "peres"},
+                )), timeout=10)
+                assert payload["cost"] == 4
+                assert service._m_coalesced.value() == 1
+                # A batch is client-sized work: it queues behind the
+                # wedged worker and is coalesced once the worker frees.
+                batch = asyncio.ensure_future(service.handle(Request(
+                    op="synth-batch", params={"targets": ["peres"]},
+                )))
+                await asyncio.sleep(0.1)
+                assert not batch.done()
+            finally:
+                release.set()
+                await asyncio.wait_for(
+                    asyncio.gather(wedge, *[batch] if batch else []),
+                    timeout=30,
+                )
+                await service.close()
+            assert batch.result()["failures"] == 0
+            assert service._m_coalesced.value() == 2
+            assert service._m_batches.value() == 2
+            summary = service._metrics.summary()
+            assert summary["queue_wait_ms"]["synth"]["p99"] == 0.0
+
+        asyncio.run(scenario())
+
+    def test_synth_all_goes_through_the_pool(self, store_path):
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(store_path, workers=1)
+            await service.start()
+            try:
+                await service.handle(Request(
+                    op="synth", params={"target": "peres", "all": True},
+                ))
+                assert service._m_coalesced.value() == 1
+                await service.handle(Request(
+                    op="synth", params={"target": "peres", "all": False},
+                ))
+                assert service._m_coalesced.value() == 1
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
+
+    def test_inline_synth_refused_once_closing(self, store_path):
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(store_path, workers=1)
+            await service.start()
+            await service.close()
+            with pytest.raises(ServerError):
+                await service.handle(Request(
+                    op="synth", params={"target": "peres"},
+                ))
 
         asyncio.run(scenario())
 
@@ -876,6 +1018,20 @@ class TestAccessLog:
             assert record["execute_ms"] >= 0.0
             # total spans queue wait + execution (rounding-tolerant).
             assert record["total_ms"] + 0.01 >= record["execute_ms"]
+
+    def test_inline_synth_records_zero_queue_wait(self, multi):
+        srv, sock, log = multi
+        base = len(self._records_when(log, lambda r: False, timeout=0.2))
+        with ServeClient(f"unix:{sock}", store="deep") as handle:
+            handle.synth("peres")
+            handle.synth("peres", all=True)
+        records = self._records_when(
+            log, lambda r: len(r) >= base + 2
+        )[base:]
+        assert [r["params"]["all"] for r in records] == [False, True]
+        assert records[0]["queue_wait_ms"] == 0.0
+        assert records[0]["execute_ms"] > 0.0
+        assert records[1]["queue_wait_ms"] >= 0.0
 
     def test_malformed_access_log_is_refused(self, tmp_path):
         path = tmp_path / "bad.ndjson"

@@ -254,6 +254,114 @@ class TestAccessLogWriter:
         assert sample_value(samples, "repro_log_rotations_total") >= 1
         assert sample_value(samples, "repro_log_records_written_total") == 40
 
+    def test_batched_rotation_keeps_every_record_once(self, tmp_path):
+        # 40 back-to-back submits land in one or two writer batches, so
+        # rotation has to happen at line boundaries inside a batch.
+        path = tmp_path / "batch.ndjson"
+        reg = MetricsRegistry()
+        max_bytes = 200
+        writer = AccessLogWriter(
+            str(path), max_bytes=max_bytes, keep=32, registry=reg
+        )
+        writer.start()
+        for index in range(40):
+            writer.submit({"op": "synth", "index": index, "pad": "x" * 40})
+        writer.close()
+        rotated = sorted(
+            (p for p in tmp_path.iterdir() if p.name.startswith(
+                "batch.ndjson."
+            )),
+            key=lambda p: int(p.suffix[1:]), reverse=True,
+        )
+        assert len(rotated) >= 3
+        seen = []
+        for file_path in [*rotated, path]:
+            data = file_path.read_bytes()
+            if not data:
+                continue
+            assert data.endswith(b"\n")
+            lines = data.splitlines(keepends=True)
+            if file_path != path:
+                # Rotated at the first line boundary past max_bytes.
+                assert len(data) >= max_bytes
+                assert len(data) - len(lines[-1]) < max_bytes
+            seen += [json.loads(line)["index"] for line in lines]
+        assert seen == list(range(40))
+        samples = parse_prometheus_text(reg.render())
+        assert sample_value(samples, "repro_log_records_written_total") == 40
+        assert sample_value(samples, "repro_log_rotations_total") == len(
+            rotated
+        )
+
+    def test_concurrent_submitters_lose_nothing(self, tmp_path):
+        # More submitting threads than cores, with a short switch
+        # interval so the writer's batch drain interleaves with appends.
+        import sys
+
+        path = tmp_path / "stress.ndjson"
+        reg = MetricsRegistry()
+        writer = AccessLogWriter(
+            str(path), max_bytes=4096, keep=64, registry=reg
+        )
+        writer.start()
+        threads, per_thread = 6, 300
+
+        def submitter(worker: int) -> None:
+            for index in range(per_thread):
+                writer.submit({"worker": worker, "index": index})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [
+                threading.Thread(target=submitter, args=(worker,))
+                for worker in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(interval)
+            writer.close()
+        rotated = sorted(
+            tmp_path.glob("stress.ndjson.*"),
+            key=lambda p: int(p.suffix[1:]), reverse=True,
+        )
+        assert len(rotated) < 64  # nothing fell off the keep window
+        records = [
+            json.loads(line)
+            for file_path in [*rotated, path]
+            for line in file_path.read_text().splitlines()
+        ]
+        for worker in range(threads):
+            assert [
+                r["index"] for r in records if r["worker"] == worker
+            ] == list(range(per_thread))
+        samples = parse_prometheus_text(reg.render())
+        assert sample_value(
+            samples, "repro_log_records_written_total"
+        ) == threads * per_thread
+
+    def test_record_reaches_the_file_without_close(self, tmp_path):
+        path = tmp_path / "live.ndjson"
+        reg = MetricsRegistry()
+        writer = AccessLogWriter(str(path), registry=reg)
+        writer.start()
+        try:
+            writer.submit({"op": "synth", "index": 0})
+            deadline = time.monotonic() + 1.0
+            while not path.read_bytes() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert json.loads(path.read_bytes()) == {
+                "op": "synth", "index": 0,
+            }
+            samples = parse_prometheus_text(reg.render())
+            assert sample_value(samples, "repro_log_queue_depth") == 0
+        finally:
+            writer.close()
+
     def test_submit_before_start_or_after_close_is_dropped(self, tmp_path):
         path = tmp_path / "late.ndjson"
         writer = AccessLogWriter(str(path))
