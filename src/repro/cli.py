@@ -171,8 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads for client-sized queries: synth with "
-        "all, synth-batch, cost-table (default: 2)",
+        help="worker threads for pooled queries: synth-batch, "
+        "cost-table, synth with all, and synth on a v3 or larger-than-"
+        "RAM store (default: 2)",
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=None,

@@ -12,7 +12,11 @@ human in the loop, as four deliberately separated stages run every
    out -- a hang, not a crash), ``latency`` / ``queue-wait`` (recent
    percentiles over threshold), ``error-rate`` (server-fault outcomes
    in the freshly tailed access-log records), or ``recovered`` (an
-   ejected backend answering healthily again).
+   ejected backend answering healthily again).  The percentiles are
+   the backend's own, timed from when it starts handling a request:
+   queue wait covers only its pooled ops (a single-target ``synth``
+   answered on its event loop records 0), and neither figure includes
+   time a request waits for a busy loop before it is read.
 2. **Propose** -- a pure findings->actions map, no side effects:
    dead/unresponsive backends get ``restart`` (``eject`` if the
    supervisor cannot respawn them), degraded-but-alive backends get
@@ -133,7 +137,8 @@ class Supervisor:
         guardrails / interval / probe_timeout / grace: see above.
         latency_threshold_ms: recent p99 total latency (any query op)
             beyond which a backend counts as regressed.
-        queue_wait_threshold_ms: recent p90 queue wait ditto.
+        queue_wait_threshold_ms: recent p90 queue wait ditto (pooled
+            ops only; see the detect stage above).
         fault_rate: access-log server-fault outcomes per cycle that
             trigger an ``error-rate`` finding.
         registry: a :class:`~repro.telemetry.MetricsRegistry` to tally

@@ -16,8 +16,9 @@ The stable, documented surface of the service stack:
 
 * :class:`~repro.server.service.SynthesisService` -- the
   framing-independent core: owns the registry of open stores, the
-  bounded worker pool and the coalescing queue for client-sized
-  queries (single-target ``synth`` runs on the event loop); ``await
+  bounded worker pool and the coalescing queue for the pooled
+  queries (single-target ``synth`` on a store whose rows are resident
+  runs on the event loop); ``await
   handle(request)`` per query; ``await reload()`` for an atomic
   registry swap.
 * :class:`~repro.server.registry.StoreRegistry` -- many stores behind

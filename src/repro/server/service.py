@@ -10,15 +10,23 @@ front of that pool.
 Concurrency model
 -----------------
 
-* A single-target ``synth`` (``all`` false) runs **inline on the event
-  loop**.  Its work is one witness walk bounded by the cost bound
-  (sub-millisecond on a cost-7 store), cheaper than the two thread
-  handoffs a pool dispatch costs on a GIL-bound process.  It records a
-  queue wait of 0, as ``healthz`` does.
-* Work whose size the client picks -- ``synth`` with ``all: true``,
-  ``synth-batch`` and ``cost-table`` -- goes to the pool, so a big
-  batch never stalls accepts, health checks or single-target answers.
-  The op and its params choose the path; there is no option.
+* A single-target ``synth`` (``all`` false) against a store whose rows
+  are resident runs **inline on the event loop**: v1 stores (decoded
+  into RAM at open) and v2 stores whose mapped file fits in half the
+  physical memory (see :func:`_rows_resident`).  Its work is then one
+  witness walk bounded by the cost bound (sub-millisecond on a cost-7
+  store), cheaper than the two thread handoffs a pool dispatch costs
+  on a GIL-bound process.  It records a queue wait of 0, as
+  ``healthz`` does.
+* Everything else goes to the pool, so it never stalls accepts, health
+  checks or inline answers: work whose size the client picks (``synth``
+  with ``all: true``, ``synth-batch``, ``cost-table``), and every
+  ``synth`` against a v3 store or a v2 store too big to stay in RAM.
+  A v3 walk inflates a whole level chunk on first touch (and on every
+  touch once the chunk outgrows the section cache), and a v2 map that
+  does not fit pages rows in from disk; neither cost is bounded by the
+  cost bound.  The op, its params and the store choose the path; there
+  is no option.
 * Pooled jobs are enqueued on an ``asyncio.Queue`` with a bounded depth
   (back-pressure: a flooded server makes clients wait on ``write``
   instead of buffering unboundedly).
@@ -123,6 +131,9 @@ class StoreState:
     #: endpoint slices this instead of rebuilding ~|G| Permutation
     #: objects per request.
     table: object  # repro.core.fmcf.CostTable
+    #: Whether a single-target synth may run on the event loop (see
+    #: :func:`_rows_resident`); ``False`` sends it to the pool.
+    inline_synth: bool = False
 
 
 def _section_cache_reader(stat: str):
@@ -149,6 +160,28 @@ class _Job:
         self.finished: float | None = None
 
 
+def _rows_resident(path: str, format_version: int) -> bool:
+    """Whether a witness walk on this store reads only resident rows.
+
+    v1 stores are decoded into RAM at open.  A v2 store is memory
+    mapped: once touched, its pages stay in the page cache if the file
+    fits in half the physical memory.  A v3 store inflates a whole
+    level chunk per level a walk touches, which the cost bound does not
+    bound, so it never counts as resident.  When the memory size or the
+    file cannot be read, the answer is ``False``.
+    """
+    if format_version < 2:
+        return True
+    if format_version > 2:
+        return False
+    try:
+        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        size = os.path.getsize(path)
+    except (AttributeError, ValueError, OSError):
+        return False
+    return size <= ram // 2
+
+
 def open_store_state(path: str, cost_bound: int | None = None) -> StoreState:
     """Open, validate, freeze and warm a store for serving (blocking).
 
@@ -165,6 +198,7 @@ def open_store_state(path: str, cost_bound: int | None = None) -> StoreState:
     return StoreState(
         path=str(path), header=header, library=library, batch=batch,
         cost_bound=bound, table=batch.cost_table(),
+        inline_synth=_rows_resident(path, header.format_version),
     )
 
 
@@ -177,7 +211,7 @@ class SynthesisService:
         cost_bound: serve only costs up to this bound (default: each
             store's full expanded bound; must be within every store's).
         workers: worker threads for the pooled queries (everything
-            but single-target ``synth``).
+            but single-target ``synth`` on a resident store).
         max_batch: coalescing limit -- the most queued jobs one executor
             dispatch may absorb.
         store_dir: also serve every ``*.rpro`` file in this directory
@@ -437,11 +471,15 @@ class SynthesisService:
                 if op == "store-info":
                     result = self._do_store_info(alias, state)
                     trace["execute"] = time.perf_counter() - started
-                elif op == "synth" and params.get("all", False) is False:
-                    # One witness walk, bounded by the cost bound: run
-                    # it here, with no thread hop.  Any other `all`
-                    # (true, or ill-typed and refused by _run_synth)
-                    # takes the pool with the other client-sized work.
+                elif (
+                    op == "synth"
+                    and state.inline_synth
+                    and params.get("all", False) is False
+                ):
+                    # One witness walk over resident rows, bounded by
+                    # the cost bound: run it here, with no thread hop.
+                    # Any other `all` (true, or ill-typed and refused by
+                    # _run_synth) or store takes the pool.
                     self._check_accepting()
                     try:
                         result = _run_synth(state, params)

@@ -78,9 +78,6 @@ class AccessLogWriter:
         self._max_bytes = max_bytes
         self._keep = DEFAULT_KEEP if keep is None else keep
         self._file = None
-        #: Bytes in the open file: the rotation check reads this instead
-        #: of ``tell()``, which would cost a flush per line.
-        self._size = 0
         #: Encoded lines waiting for the writer thread (appends and
         #: pops are atomic, so no lock is needed).
         self._pending: deque[bytes] = deque()
@@ -119,7 +116,7 @@ class AccessLogWriter:
     def start(self) -> "AccessLogWriter":
         """Open the file and spin up the writer thread (idempotent)."""
         if self._thread is None:
-            self._open()
+            self._file = open(self.path, "ab")
             self._stop = threading.Event()
             self._thread = threading.Thread(
                 target=self._run, args=(self._stop,),
@@ -181,12 +178,15 @@ class AccessLogWriter:
             # -- but the drop is counted.
             try:
                 self._file.write(data)
+                full = (
+                    self._max_bytes is not None
+                    and self._file.tell() >= self._max_bytes
+                )
             except (OSError, ValueError):
                 self._count_errors(1)
                 continue
             written.append(len(data))
-            self._size += len(data)
-            if self._max_bytes is not None and self._size >= self._max_bytes:
+            if full:
                 self._flush(written)
                 written = []
                 with contextlib.suppress(OSError, ValueError):
@@ -209,10 +209,6 @@ class AccessLogWriter:
         if self._m_records is not None:
             self._m_errors.inc(count)
 
-    def _open(self) -> None:
-        self._file = open(self.path, "ab")
-        self._size = os.fstat(self._file.fileno()).st_size
-
     def _rotate(self) -> None:
         """Shift ``log -> log.1 -> ... -> log.N`` and reopen (log thread)."""
         path = self.path
@@ -225,6 +221,6 @@ class AccessLogWriter:
             if os.path.exists(source):
                 os.replace(source, f"{path}.{index + 1}")
         os.replace(path, f"{path}.1")
-        self._open()
+        self._file = open(path, "ab")
         if self._m_records is not None:
             self._m_rotations.inc()

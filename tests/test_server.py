@@ -77,6 +77,15 @@ def shallow_store_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def v3_store_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve-v3") / "closure-v3.rpro"
+    search = CascadeSearch(GateLibrary(3), track_parents=True)
+    search.extend_to(BOUND)
+    save_search(search, path, format_version=3)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def server(store_path):
     with BackgroundServer(store_path) as srv:
         yield srv
@@ -760,6 +769,142 @@ class TestInlineSynth:
                 await service.handle(Request(
                     op="synth", params={"target": "peres"},
                 ))
+
+        asyncio.run(scenario())
+
+
+class TestStoreResidency:
+    """Only stores whose rows are resident answer synth on the loop."""
+
+    def test_residency_follows_format_and_size(self, store_path, monkeypatch):
+        from repro.server import service as service_module
+
+        resident = service_module._rows_resident
+        assert resident(store_path, 1)
+        assert resident(store_path, 2)
+        assert not resident(store_path, 3)
+        assert not resident(store_path + ".missing", 2)
+        size = os.path.getsize(store_path)
+        for ram, expected in ((2 * size, True), (2 * size - 2, False)):
+            monkeypatch.setattr(service_module.os, "sysconf", lambda name: {
+                "SC_PHYS_PAGES": ram, "SC_PAGE_SIZE": 1,
+            }[name])
+            assert resident(store_path, 2) is expected
+
+    def test_v3_synth_pools_while_healthz_answers(
+        self, v3_store_path, monkeypatch
+    ):
+        """A v3 walk inflates level chunks: it must not hold the loop.
+
+        No chunk fits the section cache, so every walk inflates its
+        levels again, and each inflate blocks until released.  healthz
+        must answer while the synths are stuck in that work.
+        """
+        from repro.core import store as store_module
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(v3_store_path, workers=1)
+            await service.start()
+            assert not service.state.inline_synth
+            monkeypatch.setattr(store_module._SECTION_CACHE, "max_bytes", 1)
+            store_module._SECTION_CACHE.clear()
+            inflating = threading.Event()
+            release = threading.Event()
+            real_chunk = store_module._ChunkStore.chunk
+
+            def slow_chunk(chunks, name, idx):
+                inflating.set()
+                if not release.wait(5):
+                    release.set()  # held up for good: let the rest by
+                return real_chunk(chunks, name, idx)
+
+            monkeypatch.setattr(store_module._ChunkStore, "chunk", slow_chunk)
+            synths = [
+                asyncio.ensure_future(service.handle(Request(
+                    op="synth", params={"target": "peres"},
+                )))
+                for _ in range(3)
+            ]
+            loop = asyncio.get_running_loop()
+            try:
+                assert await loop.run_in_executor(None, inflating.wait, 10)
+                health = await asyncio.wait_for(
+                    service.handle(Request(op="healthz")), timeout=1
+                )
+                assert health["status"] == "ok"
+                assert not any(synth.done() for synth in synths)
+            finally:
+                release.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*synths), timeout=30
+                )
+                await service.close()
+            assert [result["cost"] for result in results] == [4, 4, 4]
+            assert service._m_coalesced.value() == 3
+            assert store_module._SECTION_CACHE.stats()["entries"] == 0
+
+        asyncio.run(scenario())
+
+    def test_v3_and_v2_answers_match(self, v3_store_path, store_path):
+        with BackgroundServer(store_path) as v2, \
+                BackgroundServer(v3_store_path) as v3:
+            with ServeClient(v2.address_text) as a, \
+                    ServeClient(v3.address_text) as b:
+                for target in ("peres", "swap_bc"):
+                    assert a.synth(target) == b.synth(target)
+                assert a.healthz()["jobs_coalesced"] == 0
+                assert b.healthz()["jobs_coalesced"] == 2
+
+    def test_queue_wait_covers_pooled_ops_only(self, store_path):
+        """Pins the documented scope of queue wait (docs/observability.md).
+
+        A pooled job's wait behind a wedged worker is measured.  An
+        inline synth held up by a busy event loop records no queue
+        wait, and the hold-up is not in its latency either.
+        """
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(store_path, workers=1, max_batch=1)
+            await service.start()
+            release = threading.Event()
+            entered = threading.Event()
+
+            def blocker() -> dict:
+                entered.set()
+                release.wait(30)
+                return {}
+
+            try:
+                assert service.state.inline_synth
+                wedge = asyncio.ensure_future(service._submit(
+                    blocker, {"queue_wait": 0.0, "execute": 0.0}
+                ))
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                batch = asyncio.ensure_future(service.handle(Request(
+                    op="synth-batch", params={"targets": ["peres"]},
+                )))
+                await asyncio.sleep(0.3)
+                release.set()
+                await asyncio.wait_for(
+                    asyncio.gather(wedge, batch), timeout=30
+                )
+                synth = asyncio.ensure_future(service.handle(Request(
+                    op="synth", params={"target": "peres"},
+                )))
+                time.sleep(0.3)  # the loop is busy; the synth waits
+                await synth
+            finally:
+                release.set()
+                await service.close()
+            summary = service._metrics.summary()
+            assert summary["queue_wait_recent_ms"]["synth-batch"]["p90"] >= 250
+            assert summary["queue_wait_recent_ms"]["synth"]["p90"] == 0.0
+            assert summary["latency_recent_ms"]["synth"]["p90"] < 250
 
         asyncio.run(scenario())
 

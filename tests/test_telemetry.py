@@ -254,9 +254,13 @@ class TestAccessLogWriter:
         assert sample_value(samples, "repro_log_rotations_total") >= 1
         assert sample_value(samples, "repro_log_records_written_total") == 40
 
-    def test_batched_rotation_keeps_every_record_once(self, tmp_path):
-        # 40 back-to-back submits land in one or two writer batches, so
-        # rotation has to happen at line boundaries inside a batch.
+    def test_rotation_inside_one_batch(self, tmp_path, monkeypatch):
+        # The writer never wakes on its own here, so all 40 records
+        # stay pending and close() writes them as a single batch: the
+        # rotations must all happen between lines inside that batch.
+        from repro.telemetry import logwriter
+
+        monkeypatch.setattr(logwriter, "FLUSH_INTERVAL_S", 3600.0)
         path = tmp_path / "batch.ndjson"
         reg = MetricsRegistry()
         max_bytes = 200
@@ -266,21 +270,20 @@ class TestAccessLogWriter:
         writer.start()
         for index in range(40):
             writer.submit({"op": "synth", "index": index, "pad": "x" * 40})
+        samples = parse_prometheus_text(reg.render())
+        assert sample_value(samples, "repro_log_queue_depth") == 40
+        assert path.read_bytes() == b""
         writer.close()
         rotated = sorted(
-            (p for p in tmp_path.iterdir() if p.name.startswith(
-                "batch.ndjson."
-            )),
+            tmp_path.glob("batch.ndjson.*"),
             key=lambda p: int(p.suffix[1:]), reverse=True,
         )
         assert len(rotated) >= 3
         seen = []
         for file_path in [*rotated, path]:
             data = file_path.read_bytes()
-            if not data:
-                continue
-            assert data.endswith(b"\n")
             lines = data.splitlines(keepends=True)
+            assert all(line.endswith(b"\n") for line in lines)
             if file_path != path:
                 # Rotated at the first line boundary past max_bytes.
                 assert len(data) >= max_bytes
