@@ -204,11 +204,13 @@ class BatchSynthesizer:
     # -- single-target queries ----------------------------------------------------------
 
     def _lookup(
-        self, remainder: Permutation, description: str
+        self, remainder: Permutation, target: Permutation
     ) -> tuple[int, Sequence[int]]:
         hit = self._index.get(remainder.images)
         if hit is None:
-            raise CostBoundExceededError(description, self._cost_bound)
+            raise CostBoundExceededError(
+                f"permutation {target.cycle_string()}", self._cost_bound
+            )
         return hit
 
     def synthesize(
@@ -238,13 +240,12 @@ class BatchSynthesizer:
                 "closure was computed without parent tracking; it can "
                 "answer costs but not witness circuits"
             )
-        _cost, rows = self._lookup(
-            remainder, f"permutation {target.cycle_string()}"
-        )
+        _cost, rows = self._lookup(remainder, target)
         return _results_from_rows(
             rows,
             self._search,
             target,
+            remainder,
             not_mask,
             not_gates,
             self._search.cost_model,
@@ -258,9 +259,7 @@ class BatchSynthesizer:
         )
         if remainder.is_identity:
             return 0
-        cost, _rows = self._lookup(
-            remainder, f"permutation {target.cycle_string()}"
-        )
+        cost, _rows = self._lookup(remainder, target)
         return cost
 
     # -- batch queries ------------------------------------------------------------------

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CostBoundExceededError, SpecificationError
+from repro.errors import (
+    CostBoundExceededError,
+    InvalidValueError,
+    SpecificationError,
+    StoreError,
+)
 from repro.core.circuit import Circuit
 from repro.core.cost import CostModel, UNIT_COST
 from repro.core.search import CascadeSearch
@@ -61,13 +66,26 @@ class SynthesisResult:
         return f"{self.circuit} (cost {self.cost})"
 
 
-def _not_layer_gates(mask: int, n_qubits: int) -> tuple[Gate, ...]:
-    """NOT gates for every set bit of *mask* (wire 0 = most significant)."""
-    gates = []
-    for wire in range(n_qubits):
-        if (mask >> (n_qubits - 1 - wire)) & 1:
-            gates.append(Gate.not_(wire, n_qubits))
-    return tuple(gates)
+#: (mask, n_qubits) -> the NOT layer's permutation and gates, built on
+#: first use; 2**n entries per register width.
+_NOT_LAYERS: dict[tuple[int, int], tuple[Permutation, tuple[Gate, ...]]] = {}
+
+
+def _not_layer(
+    mask: int, n_qubits: int
+) -> tuple[Permutation, tuple[Gate, ...]]:
+    """The NOT layer of *mask*: its permutation and one NOT per set bit
+    (wire 0 = most significant)."""
+    layer = _NOT_LAYERS.get((mask, n_qubits))
+    if layer is None:
+        gates = tuple(
+            Gate.not_(wire, n_qubits)
+            for wire in range(n_qubits)
+            if (mask >> (n_qubits - 1 - wire)) & 1
+        )
+        layer = (not_layer_permutation(mask, n_qubits), gates)
+        _NOT_LAYERS[mask, n_qubits] = layer
+    return layer
 
 
 def _check_target(target: Permutation, library: GateLibrary) -> None:
@@ -153,16 +171,16 @@ def normalize_target(
         # Theorem 2 is a binary statement: MV libraries have no free NOT
         # layer, so the target is searched for as-is.
         return 0, target, ()
-    zero_preimage = target.inverse()(0)
+    zero_preimage = target.images.index(0)
     not_mask = zero_preimage if allow_not else 0
     if not allow_not and zero_preimage != 0:
         raise SpecificationError(
             "target moves the all-zero pattern; it needs a NOT layer "
             "(allow_not=True) since no NOT-free cascade can move it"
         )
-    d0 = not_layer_permutation(not_mask, library.n_qubits)
+    d0, not_gates = _not_layer(not_mask, library.n_qubits)
     remainder = d0 * target  # g = d0 * remainder with d0 an involution
-    return not_mask, remainder, _not_layer_gates(not_mask, library.n_qubits)
+    return not_mask, remainder, not_gates
 
 
 def _not_layer_result(
@@ -185,6 +203,7 @@ def _results_from_rows(
     rows,
     search: CascadeSearch,
     target: Permutation,
+    remainder: Permutation,
     not_mask: int,
     not_gates: tuple[Gate, ...],
     cost_model: CostModel,
@@ -197,25 +216,47 @@ def _results_from_rows(
     :class:`~repro.core.batch.BatchSynthesizer` and by the v2 store's
     serialized remainder index (no byte-level lookups, O(cost) per
     witness).
+
+    Every witness is checked before it is returned: its gates, composed
+    from the identity, must give the permutation stored at its row, and
+    that permutation must restrict to *remainder*.
+
+    Raises:
+        StoreError: the closure's rows, parents, gate ids or index are
+            corrupted.
     """
     library = search.library
+    wanted = remainder.images
+    identity = Permutation.identity(library.space.size).images
     results = []
     for row in rows:
         row = int(row)
-        gates = tuple(
-            library[i].gate for i in search.witness_indices_for_row(row)
-        )
-        cascade = Circuit(gates, library.n_qubits)
-        circuit = Circuit(not_gates + gates, library.n_qubits)
+        try:
+            indices = search.witness_indices_for_row(row)
+            row_images = search.perm_bytes_at(row)
+        except (InvalidValueError, IndexError) as exc:
+            raise StoreError(
+                f"closure row {row} is unreadable: {exc}"
+            ) from None
+        images = identity
+        gates = []
+        for i in indices:
+            entry = library[i]
+            images = images.translate(entry.table)
+            gates.append(entry.gate)
+        if images != row_images or images[: len(wanted)] != wanted:
+            raise StoreError(
+                f"the witness of closure row {row} does not realize the "
+                "row's permutation and the requested remainder; the "
+                "closure data is corrupted"
+            )
         results.append(
             SynthesisResult(
                 target=target,
-                circuit=circuit,
-                cost=cascade.cost(cost_model),
+                circuit=Circuit(not_gates + tuple(gates), library.n_qubits),
+                cost=sum(cost_model.gate_cost(gate.kind) for gate in gates),
                 not_mask=not_mask,
-                cascade_permutation=Permutation.from_images(
-                    search.perm_bytes_at(row)
-                ),
+                cascade_permutation=Permutation(images),
             )
         )
         if first_only:
@@ -249,8 +290,8 @@ def _express_impl(
         rows = search.find_matching_rows(cost, wanted)
         if rows:
             return _results_from_rows(
-                rows, search, target, not_mask, not_gates, cost_model,
-                first_only,
+                rows, search, target, remainder, not_mask, not_gates,
+                cost_model, first_only,
             )
     raise CostBoundExceededError(
         f"permutation {target.cycle_string()}", cost_bound

@@ -855,11 +855,12 @@ class CascadeSearch:
                 return self.witness_indices(self._row_bytes_from_lists(row))
             self._ensure_engine()
         indices: list[int] = []
+        n_gates = len(self._library)
         while row:
             row, gate_index = self._parent_of_row(row)
             indices.append(gate_index)
             if len(indices) > self._expanded_to or not (
-                0 <= gate_index < len(self._library)
+                0 <= gate_index < n_gates
             ):
                 # Unit-or-heavier gate costs bound a minimal cascade's
                 # length by its level; anything longer (or a bad gate

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 from repro.errors import InvalidGateError, NonBinaryControlError
 from repro.gates.kinds import GateKind
@@ -36,6 +37,13 @@ from repro.perm.permutation import Permutation
 def wire_letter(wire: int) -> str:
     """Paper-style wire naming: 0 -> A, 1 -> B, 2 -> C, ..."""
     return chr(ord("A") + wire)
+
+
+#: Label permutation of each gate, per label space.  Bounded by the
+#: placed gates of the spaces still alive, so it never evicts.
+_PERMUTATIONS: "WeakKeyDictionary[LabelSpace, dict[Gate, Permutation]]" = (
+    WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ class Gate:
 
     # -- identity --------------------------------------------------------------
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Paper-style name: kind + data wire + control wire (``V_BA``)."""
         if self.kind is GateKind.NOT:
@@ -197,7 +205,14 @@ class Gate:
             raise InvalidGateError(
                 f"gate on {self.n_qubits} qubits vs space on {space.n_qubits}"
             )
-        return Permutation.from_images(space.images_from_map(self.apply))
+        perms = _PERMUTATIONS.get(space)
+        if perms is None:
+            perms = _PERMUTATIONS.setdefault(space, {})
+        perm = perms.get(self)
+        if perm is None:
+            perm = Permutation.from_images(space.images_from_map(self.apply))
+            perms[self] = perm
+        return perm
 
     # -- unitary semantics ---------------------------------------------------------------
 

@@ -19,8 +19,11 @@ from collections.abc import Iterable, Sequence
 from repro.errors import InvalidPermutationError
 
 _MAX_DEGREE = 256
-# Cache of identity translation tails, keyed by degree.
-_TAILS: dict[int, bytes] = {}
+# The identity on the largest domain: its prefixes are the identities and
+# its suffixes the translation-table tails of every smaller degree.
+_IDENTITY = bytes(range(_MAX_DEGREE))
+# The paper's 1-based label text of each 0-based point.
+_LABELS = tuple(str(point + 1) for point in range(_MAX_DEGREE))
 
 
 def pack_images(images: "Sequence[bytes]", degree: int):
@@ -48,14 +51,6 @@ def unpack_images(array) -> list[bytes]:
     n, degree = array.shape
     blob = array.tobytes()
     return [blob[i : i + degree] for i in range(0, n * degree, degree)]
-
-
-def _tail(degree: int) -> bytes:
-    tail = _TAILS.get(degree)
-    if tail is None:
-        tail = bytes(range(degree, _MAX_DEGREE))
-        _TAILS[degree] = tail
-    return tail
 
 
 class Permutation:
@@ -118,6 +113,8 @@ class Permutation:
         touched = set()
         for cycle in cycles:
             pts = [p - offset for p in cycle]
+            # One pass: check each point, then link its predecessor to it.
+            prev = None
             for p in pts:
                 if not 0 <= p < degree:
                     raise InvalidPermutationError(
@@ -128,8 +125,11 @@ class Permutation:
                         f"point {p + offset} appears in two cycles"
                     )
                 touched.add(p)
-            for i, p in enumerate(pts):
-                images[p] = pts[(i + 1) % len(pts)]
+                if prev is not None:
+                    images[prev] = p
+                prev = p
+            if prev is not None:
+                images[prev] = pts[0]
         return cls(bytes(images))
 
     @classmethod
@@ -154,7 +154,7 @@ class Permutation:
     def table(self) -> bytes:
         """The 256-byte translation table used for fast right-composition."""
         if self._table is None:
-            self._table = self._images + _tail(len(self._images))
+            self._table = self._images + _IDENTITY[len(self._images) :]
         return self._table
 
     def __call__(self, point: int) -> int:
@@ -203,24 +203,27 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self._images))
+        images = self._images
+        return images == _IDENTITY[: len(images)]
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles as 0-based tuples (fixed points omitted by default)."""
-        seen = bytearray(self.degree)
+        images = self._images
+        seen = bytearray(len(images))
         out = []
-        for start in range(self.degree):
+        for start, point in enumerate(images):
+            if point == start:
+                if include_fixed:
+                    out.append((start,))
+                continue
             if seen[start]:
                 continue
             cycle = [start]
-            seen[start] = 1
-            point = self._images[start]
             while point != start:
-                cycle.append(point)
                 seen[point] = 1
-                point = self._images[point]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+                cycle.append(point)
+                point = images[point]
+            out.append(tuple(cycle))
         return out
 
     def cycle_structure(self) -> dict[int, int]:
@@ -300,12 +303,19 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation with the paper's 1-based labels, e.g. ``(5,7,6,8)``."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join(
-            "(" + ",".join(str(p + 1) for p in cycle) + ")" for cycle in cycles
-        )
+        images = self._images
+        seen = bytearray(len(images))
+        out = []
+        for start, point in enumerate(images):
+            if point == start or seen[start]:
+                continue
+            labels = [_LABELS[start]]
+            while point != start:
+                seen[point] = 1
+                labels.append(_LABELS[point])
+                point = images[point]
+            out.append("(" + ",".join(labels) + ")")
+        return "".join(out) if out else "()"
 
     @classmethod
     def from_cycle_string(cls, degree: int, text: str) -> "Permutation":
@@ -318,7 +328,7 @@ class Permutation:
         cycles = []
         for chunk in text[1:-1].split(")("):
             try:
-                cycles.append([int(p) for p in chunk.split(",")])
+                cycles.append(list(map(int, chunk.split(","))))
             except ValueError:
                 raise InvalidPermutationError(
                     f"bad cycle string {text!r}"

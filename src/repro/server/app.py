@@ -347,15 +347,15 @@ class ReproServer:
                     payload["trace_id"] = trace_id
                 response = http_response(status, {"error": payload}, False)
                 keep_alive = False
-            except (asyncio.LimitOverrunError, ValueError):
-                # Stream-limit overflow inside the header/body read
-                # (ProtocolError, though a ValueError, matched above).
-                payload, status = error_payload(
-                    ProtocolError(f"request exceeds {MAX_BODY} bytes")
-                )
-                response = http_response(status, {"error": payload}, False)
-                keep_alive = False
             except Exception as exc:  # noqa: BLE001 -- mapped to wire error
+                if isinstance(
+                    exc, (asyncio.LimitOverrunError, ValueError)
+                ) and not isinstance(exc, ReproError):
+                    # Stream-limit overflow inside the header/body read.
+                    # Library errors that are also ValueErrors (a bad
+                    # target or value) keep their own codes.
+                    exc = ProtocolError(f"request exceeds {MAX_BODY} bytes")
+                    keep_alive = False
                 payload, status = error_payload(exc)
                 if trace_id is not None:
                     payload["trace_id"] = trace_id

@@ -752,17 +752,18 @@ def _synthesize_bounded(
     bound, so the server-side message stays byte-identical to the
     ``--store`` path's.
     """
-    description = f"permutation {target.cycle_string()}"
     try:
         if all_:
             results = state.batch.synthesize_all(target, allow_not=allow_not)
         else:
             results = [state.batch.synthesize(target, allow_not=allow_not)]
     except CostBoundExceededError:
-        raise CostBoundExceededError(description, bound) from None
+        results = []
     kept = [result for result in results if result.cost <= bound]
     if not kept:
-        raise CostBoundExceededError(description, bound)
+        raise CostBoundExceededError(
+            f"permutation {target.cycle_string()}", bound
+        )
     return kept
 
 
@@ -775,10 +776,11 @@ def _run_synth(state: StoreState, params: dict) -> dict:
     results = _synthesize_bounded(
         state, target, bound, allow_not, _flag(params, "all", False)
     )
+    records = [result_to_dict(result) for result in results]
     return {
-        "target": target.cycle_string(),
+        "target": records[0]["target"],
         "cost": results[0].cost,
-        "results": [result_to_dict(result) for result in results],
+        "results": records,
     }
 
 

@@ -46,6 +46,135 @@ class TestCycleStringFuzz:
         assert perm.degree == degree
 
 
+def _reference_cycles(images: bytes, include_fixed: bool = False):
+    """Reference copy of the two-loop ``Permutation.cycles``.
+
+    This and the ``_reference_*`` functions below are the oracle for the
+    one-pass cycle codec: same output, same exception type and message.
+    """
+    seen = bytearray(len(images))
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        point = images[start]
+        while point != start:
+            cycle.append(point)
+            seen[point] = 1
+            point = images[point]
+        if len(cycle) > 1 or include_fixed:
+            out.append(tuple(cycle))
+    return out
+
+
+def _reference_cycle_string(images: bytes) -> str:
+    cycles = _reference_cycles(images)
+    if not cycles:
+        return "()"
+    return "".join(
+        "(" + ",".join(str(p + 1) for p in cycle) + ")" for cycle in cycles
+    )
+
+
+def _reference_from_cycles(degree, cycles, one_based=True) -> bytes:
+    from repro.errors import InvalidPermutationError
+
+    offset = 1 if one_based else 0
+    images = list(range(degree))
+    touched = set()
+    for cycle in cycles:
+        pts = [p - offset for p in cycle]
+        for p in pts:
+            if not 0 <= p < degree:
+                raise InvalidPermutationError(
+                    f"cycle point {p + offset} out of range for degree {degree}"
+                )
+            if p in touched:
+                raise InvalidPermutationError(
+                    f"point {p + offset} appears in two cycles"
+                )
+            touched.add(p)
+        for i, p in enumerate(pts):
+            images[p] = pts[(i + 1) % len(pts)]
+    return bytes(images)
+
+
+def _reference_from_cycle_string(degree: int, text: str) -> bytes:
+    from repro.errors import InvalidPermutationError
+
+    text = text.strip().replace(" ", "")
+    if text in ("()", ""):
+        if degree == 0 or degree > 256:
+            raise InvalidPermutationError(f"bad degree {degree}")
+        return bytes(range(degree))
+    if not (text.startswith("(") and text.endswith(")")):
+        raise InvalidPermutationError(f"bad cycle string {text!r}")
+    cycles = []
+    for chunk in text[1:-1].split(")("):
+        try:
+            cycles.append([int(p) for p in chunk.split(",")])
+        except ValueError:
+            raise InvalidPermutationError(
+                f"bad cycle string {text!r}"
+            ) from None
+    return _reference_from_cycles(degree, cycles, one_based=True)
+
+
+def _outcome(fn, *args):
+    """``("ok", value)`` or ``(exception type, message)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+@st.composite
+def _cycle_texts(draw):
+    """Cycle notation near the valid set: points from -1 to degree + 1,
+    repeats, empty and overlapping cycles, stray spaces."""
+    degree = draw(st.integers(min_value=-1, max_value=260))
+    point = st.integers(min_value=-1, max_value=max(degree, 0) + 1)
+    cycles = draw(
+        st.lists(st.lists(point, max_size=6), min_size=1, max_size=5)
+    )
+    body = ")(".join(",".join(str(p) for p in cycle) for cycle in cycles)
+    spaces = draw(st.sampled_from(["", " ", "  "]))
+    return degree, f"{spaces}({body}){spaces}"
+
+
+class TestCycleCodecMatchesReference:
+    """The one-pass cycle codec keeps the old output and old errors."""
+
+    @given(images=st.integers(1, 256).flatmap(
+        lambda n: st.permutations(range(n))
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_cycles_and_cycle_string(self, images):
+        perm = Permutation.from_images(images)
+        data = bytes(images)
+        for include_fixed in (False, True):
+            assert perm.cycles(include_fixed) == _reference_cycles(
+                data, include_fixed
+            )
+        assert perm.cycle_string() == _reference_cycle_string(data)
+        assert perm.is_identity == (perm.cycles() == [])
+
+    @given(case=st.one_of(
+        _cycle_texts(),
+        st.tuples(st.integers(min_value=-1, max_value=260), text),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_from_cycle_string(self, case):
+        degree, cycle_text = case
+        new = _outcome(
+            lambda: Permutation.from_cycle_string(degree, cycle_text).images
+        )
+        assert new == _outcome(_reference_from_cycle_string, degree,
+                               cycle_text)
+
+
 class TestGateNameFuzz:
     @given(text=text)
     @settings(max_examples=300, deadline=None)

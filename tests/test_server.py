@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -41,6 +42,7 @@ from repro.errors import (
     ProtocolError,
     ServerError,
     SpecificationError,
+    StoreError,
 )
 from repro.gates.library import GateLibrary
 from repro.io import load_access_log, open_store, result_to_dict
@@ -925,6 +927,130 @@ class TestErrorSplit:
         assert after["errors"] == (
             after["client_errors"] + after["server_errors"]
         )
+
+
+@pytest.fixture(scope="module")
+def cost5_store_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve-cost5") / "closure.rpro"
+    search = CascadeSearch(GateLibrary(3), track_parents=True)
+    search.extend_to(5)
+    save_search(search, path)
+    return path
+
+
+def _doctor_section(source: Path, dest: Path, name: str, dtype: str, edit):
+    """Copy a v2 store, rewriting one payload section in place.
+
+    The lazy open checks only the remainder-index sections, so the
+    doctored store opens and serves; only the witness check can notice.
+    """
+    data = bytearray(source.read_bytes())
+    hlen = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12 : 12 + hlen])
+    offset, length = header["sections"][name]
+    start = 12 + hlen + offset
+    values = np.frombuffer(
+        bytes(data[start : start + length]), dtype=dtype
+    ).copy()
+    data[start : start + length] = edit(values).tobytes()
+    dest.write_bytes(bytes(data))
+    return str(dest)
+
+
+class TestStoreFaultsAreServerErrors:
+    """A corrupted store answers ``store-error``/500, never a wrong
+    circuit or a 4xx client error, so routers fail over."""
+
+    @staticmethod
+    def _served_error(path: str, spec: str) -> tuple[int, dict]:
+        with BackgroundServer(path) as srv:
+            status, body = http_request(
+                srv.address_text, "/synth", "POST", {"target": spec}
+            )
+            bad_status, bad_body = http_request(
+                srv.address_text, "/synth", "POST", {"target": "(1,2,99)"}
+            )
+            with ServeClient(srv.address_text) as ndjson:
+                with pytest.raises(StoreError):
+                    ndjson.synth(spec)
+                with pytest.raises(InvalidPermutationError):
+                    ndjson.synth("(1,2,99)")
+        # A bad client spec stays a client error on the same store.
+        assert bad_status == 400
+        assert bad_body["error"]["code"] == "bad-target"
+        return status, body
+
+    def test_store_error_is_a_failover_code(self):
+        from repro.server.protocol import SERVER_FAULT_CODES
+
+        assert "store-error" in SERVER_FAULT_CODES
+
+    def test_intact_store_answers_ok(self, cost5_store_path):
+        with BackgroundServer(str(cost5_store_path)) as srv:
+            status, body = http_request(
+                srv.address_text, "/synth", "POST", {"target": "(7,8)"}
+            )
+        assert status == 200
+        assert body["cost"] == 5
+
+    def test_wrong_gate_ids_are_caught(self, cost5_store_path, tmp_path):
+        # Valid ids (0..17), each shifted to its neighbour: every walk
+        # succeeds, but the circuit no longer realizes the row.
+        path = _doctor_section(
+            cost5_store_path, tmp_path / "gates.rpro", "gates", "<i4",
+            lambda gates: (gates + 1) % 18,
+        )
+        status, body = self._served_error(path, "(7,8)")
+        assert status == 500
+        assert body["error"]["code"] == "store-error"
+        assert "does not realize" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [("self", "closure bound"), (10**7, "unreadable")],
+        ids=["parent-loop", "parent-out-of-range"],
+    )
+    def test_corrupt_parent_walk_is_a_store_error(
+        self, cost5_store_path, tmp_path, parent, message
+    ):
+        # Every cost-5 row names itself (so each walk from that level
+        # runs past the closure bound) or a row past the closure as its
+        # parent.  Shallower rows stay intact: the open's warm-up walks
+        # one of them.
+        from repro.io import read_header
+
+        level5 = sum(read_header(cost5_store_path).level_sizes[:5])
+
+        def doctor(parents):
+            rows = np.arange(len(parents), dtype=parents.dtype)
+            parents[level5:] = rows[level5:] if parent == "self" else parent
+            return parents
+
+        path = _doctor_section(
+            cost5_store_path, tmp_path / "parents.rpro", "parents", "<i4",
+            doctor,
+        )
+        status, body = self._served_error(path, "(7,8)")
+        assert status == 500
+        assert body["error"]["code"] == "store-error"
+        assert message in body["error"]["message"]
+
+    def test_non_permutation_row_is_a_store_error(
+        self, cost5_store_path, tmp_path
+    ):
+        # Zero the images of every row past the identity (row 0, which
+        # the open checks): those rows stop being permutations.
+        def zero_rows(perms):
+            perms[38:] = 0
+            return perms
+
+        path = _doctor_section(
+            cost5_store_path, tmp_path / "perms.rpro", "perms", "u1",
+            zero_rows,
+        )
+        status, body = self._served_error(path, "(7,8)")
+        assert status == 500
+        assert body["error"]["code"] == "store-error"
 
 
 class TestHealthzPercentiles:
