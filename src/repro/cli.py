@@ -171,13 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads for pooled queries: synth-batch, "
-        "cost-table, synth with all, and synth on a v3 or larger-than-"
-        "RAM store (default: 2)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=None,
-        help="request-coalescing limit per dispatch (default: 64)",
+        help="worker threads for pooled queries, one query per thread "
+        "at a time: synth-batch, cost-table, synth with all, and synth "
+        "on a v3 or larger-than-RAM store (default: 2)",
     )
     p_serve.add_argument(
         "--cost-bound", type=int, default=None,
@@ -257,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="supervisor decision log, NDJSON (default: RUN_DIR/ops.ndjson)",
     )
     p_fserve.add_argument("--workers", type=int, default=None)
-    p_fserve.add_argument("--max-batch", type=int, default=None)
     p_fserve.add_argument("--cost-bound", type=int, default=None)
     p_fserve.add_argument(
         "--retries", type=int, default=None,
@@ -831,7 +826,7 @@ def _synth_batch(
     )
     entries = None
     if client is not None:
-        # One coalesced server-side batch; per-target errors come back
+        # One synth-batch request; per-target errors come back
         # as structured payloads alongside the successful records.
         from repro.io import result_from_dict
         from repro.server.protocol import error_to_exception
@@ -1099,7 +1094,6 @@ def _cmd_serve(
     no_tcp: bool,
     access_log: str | None,
     workers: int | None,
-    max_batch: int | None,
     cost_bound: int | None,
     access_log_max_bytes: str | None = None,
     access_log_keep: int | None = None,
@@ -1161,7 +1155,6 @@ def _cmd_serve(
             port=bind_port,
             cost_bound=cost_bound,
             workers=workers,
-            max_batch=max_batch,
             ready=ready,
             unix=unix,
             store_dir=store_dir,
@@ -1256,7 +1249,6 @@ def _cmd_fleet_serve(args) -> int:
             store_dir=args.store_dir,
             cost_bound=args.cost_bound,
             workers=args.workers,
-            max_batch=args.max_batch,
             run_dir=args.run_dir,
             ops_log=args.ops_log,
             faults=faults,
@@ -1850,7 +1842,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_serve(
                 args.stores, args.store_dir, args.host, args.port,
                 args.unix, args.no_tcp, args.access_log, args.workers,
-                args.max_batch, args.cost_bound,
+                args.cost_bound,
                 args.access_log_max_bytes, args.access_log_keep,
                 args.drain_timeout, args.fault, args.fault_seed,
             )

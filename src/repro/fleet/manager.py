@@ -143,8 +143,8 @@ class FleetManager:
         run_dir: directory for sockets/logs (created; a ``mkdtemp``
             under the system temp dir when None -- UNIX socket paths
             are length-capped, so short beats descriptive).
-        store_dir / cost_bound / workers / max_batch: forwarded to
-            every backend's ``repro serve`` flags.
+        store_dir / cost_bound / workers: forwarded to every backend's
+            ``repro serve`` flags.
         faults: ``{replica_index: fault_spec}`` chaos injection for
             the first spawn of chosen replicas.
         fault_seed: seed forwarded with every fault spec.
@@ -158,7 +158,6 @@ class FleetManager:
         store_dir: str | None = None,
         cost_bound: int | None = None,
         workers: int | None = None,
-        max_batch: int | None = None,
         faults: dict[int, str] | None = None,
         fault_seed: int = 0,
     ):
@@ -208,8 +207,6 @@ class FleetManager:
                 argv += ["--cost-bound", str(cost_bound)]
             if workers is not None:
                 argv += ["--workers", str(workers)]
-            if max_batch is not None:
-                argv += ["--max-batch", str(max_batch)]
             self.backends[name] = ManagedBackend(
                 name,
                 argv,
@@ -279,7 +276,6 @@ async def run_fleet(
     store_dir: str | None = None,
     cost_bound: int | None = None,
     workers: int | None = None,
-    max_batch: int | None = None,
     run_dir: str | None = None,
     faults: dict[int, str] | None = None,
     fault_seed: int = 0,
@@ -324,7 +320,6 @@ async def run_fleet(
         store_dir=store_dir,
         cost_bound=cost_bound,
         workers=workers,
-        max_batch=max_batch,
         faults=faults,
         fault_seed=fault_seed,
     )

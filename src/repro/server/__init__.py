@@ -15,12 +15,11 @@ Public API
 The stable, documented surface of the service stack:
 
 * :class:`~repro.server.service.SynthesisService` -- the
-  framing-independent core: owns the registry of open stores, the
-  bounded worker pool and the coalescing queue for the pooled
-  queries (single-target ``synth`` on a store whose rows are resident
-  runs on the event loop); ``await
-  handle(request)`` per query; ``await reload()`` for an atomic
-  registry swap.
+  framing-independent core: owns the registry of open stores and the
+  bounded worker pool for the pooled queries, one executor call per
+  query (single-target ``synth`` on a store whose rows are resident
+  runs on the event loop); ``await handle(request)`` per query;
+  ``await reload()`` for an atomic registry swap.
 * :class:`~repro.server.registry.StoreRegistry` -- many stores behind
   one server, routed per request by alias or ``(library, cost-model)``
   fingerprints (:mod:`repro.server.registry`).
@@ -67,7 +66,6 @@ from repro.server.protocol import (
 )
 from repro.server.registry import StoreRegistry, build_registry
 from repro.server.service import (
-    DEFAULT_MAX_BATCH,
     DEFAULT_WORKERS,
     StoreState,
     SynthesisService,
@@ -76,7 +74,6 @@ from repro.server.service import (
 
 __all__ = [
     "BackgroundServer",
-    "DEFAULT_MAX_BATCH",
     "DEFAULT_PORT",
     "DEFAULT_WORKERS",
     "OPERATIONS",

@@ -388,7 +388,6 @@ async def run_server(
     port: int | None = 0,
     cost_bound: int | None = None,
     workers: int | None = None,
-    max_batch: int | None = None,
     ready: Callable[[tuple[str, int], SynthesisService], None] | None = None,
     stop_event: asyncio.Event | None = None,
     unix: str | None = None,
@@ -415,13 +414,12 @@ async def run_server(
     up (the CLI prints its "listening on" line from it).  Returns the
     process exit code.
     """
-    from repro.server.service import DEFAULT_MAX_BATCH, DEFAULT_WORKERS
+    from repro.server.service import DEFAULT_WORKERS
 
     service = SynthesisService(
         stores,
         cost_bound=cost_bound,
         workers=DEFAULT_WORKERS if workers is None else workers,
-        max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch,
         store_dir=store_dir,
         access_log=access_log,
         access_log_max_bytes=access_log_max_bytes,

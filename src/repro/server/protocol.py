@@ -412,8 +412,12 @@ async def read_http_request(reader, request_line: bytes) -> Request:
     path, _sep, query = raw_path.partition("?")
     params = _parse_query(query)
 
+    raw_size = headers.get("content-length", "0")
     try:
-        body_size = int(headers.get("content-length", "0") or "0")
+        # ASCII digits only: int() alone also takes "-5", "+5" and "1_0".
+        if not (raw_size.isascii() and raw_size.isdigit()):
+            raise ValueError(raw_size)
+        body_size = int(raw_size)
     except ValueError:
         raise ProtocolError("bad Content-Length header") from None
     if body_size > MAX_BODY:

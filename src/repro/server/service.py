@@ -3,9 +3,8 @@
 :class:`SynthesisService` is the framing-independent middle of ``repro
 serve``: it owns a registry of open stores (each a frozen
 :class:`~repro.core.search.CascadeSearch` wrapped by a warmed
-:class:`~repro.core.batch.BatchSynthesizer`), a bounded thread pool for
-the query work whose size the client picks, and a coalescing queue in
-front of that pool.
+:class:`~repro.core.batch.BatchSynthesizer`) and a bounded thread pool
+for the query work whose size the client picks.
 
 Concurrency model
 -----------------
@@ -27,17 +26,16 @@ Concurrency model
   does not fit pages rows in from disk; neither cost is bounded by the
   cost bound.  The op, its params and the store choose the path; there
   is no option.
-* Pooled jobs are enqueued on an ``asyncio.Queue`` with a bounded depth
-  (back-pressure: a flooded server makes clients wait on ``write``
-  instead of buffering unboundedly).
-* A dispatcher task drains the queue, **coalescing** everything
-  currently waiting (up to ``max_batch`` jobs) into one executor call,
-  so a burst of queued jobs costs one thread hop.  A semaphore sized to
-  the pool keeps at most ``workers`` batches in flight, which bounds
-  thread-pool queue growth.
+* Each pooled job is one ``run_in_executor`` call on the pool; the
+  worker thread stamps its start and end, which split the job's time
+  into queue wait and execute time.  ``workers`` caps how many run at
+  once.  The pool's own queue needs no bound: the NDJSON and HTTP
+  handlers await each response before they read the next request, and
+  the fleet router holds a backend connection for one round trip, so
+  that queue never holds more than one job per open connection.
 * Workers only touch frozen, warmed state (see the thread-safety
   contract on :class:`~repro.core.batch.BatchSynthesizer`), so any
-  number of in-flight batches can read the same closures alongside the
+  number of in-flight jobs can read the same closures alongside the
   inline path.
 * Store opens (startup and SIGHUP reload) run on a **dedicated
   single-thread opener executor**, never on the query pool: a reload
@@ -111,8 +109,6 @@ from repro.telemetry import (
 #: pure Python, so a small pool is enough to overlap queries with
 #: framing; more threads mostly add contention.
 DEFAULT_WORKERS = 2
-#: Default coalescing limit per executor dispatch.
-DEFAULT_MAX_BATCH = 64
 #: The store-touching query operations (access-log records for these
 #: carry their params, which is what makes a log replayable).
 _QUERY_OPS = frozenset({"synth", "synth-batch", "cost-table"})
@@ -141,23 +137,6 @@ def _section_cache_reader(stat: str):
     def read() -> float:
         return section_cache_stats().get(stat, 0)
     return read
-
-
-class _Job:
-    """One unit of query work: a thread function, its future, timings."""
-
-    __slots__ = ("fn", "future", "loop", "enqueued", "started", "finished")
-
-    def __init__(self, fn: Callable[[], dict], future, loop):
-        self.fn = fn
-        self.future = future
-        self.loop = loop
-        self.enqueued = time.perf_counter()
-        #: Set by the worker thread around ``fn()``; the resolving
-        #: ``call_soon_threadsafe`` orders these writes before any
-        #: event-loop read, so no lock is needed.
-        self.started: float | None = None
-        self.finished: float | None = None
 
 
 def _rows_resident(path: str, format_version: int) -> bool:
@@ -212,8 +191,6 @@ class SynthesisService:
             store's full expanded bound; must be within every store's).
         workers: worker threads for the pooled queries (everything
             but single-target ``synth`` on a resident store).
-        max_batch: coalescing limit -- the most queued jobs one executor
-            dispatch may absorb.
         store_dir: also serve every ``*.rpro`` file in this directory
             (re-scanned on reload/SIGHUP).
         access_log: append one NDJSON record per request to this file.
@@ -230,7 +207,6 @@ class SynthesisService:
         stores: str | os.PathLike | Sequence[str],
         cost_bound: int | None = None,
         workers: int = DEFAULT_WORKERS,
-        max_batch: int = DEFAULT_MAX_BATCH,
         store_dir: str | None = None,
         access_log: str | None = None,
         access_log_max_bytes: int | None = None,
@@ -238,8 +214,6 @@ class SynthesisService:
     ):
         if workers < 1:
             raise SpecificationError("need at least one worker thread")
-        if max_batch < 1:
-            raise SpecificationError("max_batch must be positive")
         if access_log_max_bytes is not None and access_log_max_bytes < 1:
             raise SpecificationError(
                 "access_log_max_bytes must be positive"
@@ -258,7 +232,6 @@ class SynthesisService:
             )
         self._requested_bound = cost_bound
         self._workers = workers
-        self._max_batch = max_batch
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -268,13 +241,12 @@ class SynthesisService:
             max_workers=1, thread_name_prefix="repro-serve-open"
         )
         self._registry: StoreRegistry | None = None
-        self._queue: asyncio.Queue[_Job] | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._slots: asyncio.Semaphore | None = None
         self._reload_lock: asyncio.Lock | None = None
         self._started_monotonic = time.monotonic()
         self._started_epoch = round(time.time(), 3)
-        self._closing = False
+        #: True from start() until close(): pooled and inline queries
+        #: are refused outside that window.
+        self._accepting = False
         self._last_reload_error: str | None = None
         self._metrics = ServiceMetrics()
         # The process-wide metrics registry.  Every counter healthz
@@ -306,11 +278,7 @@ class SynthesisService:
             self._m_queries.preseed(op)
         self._m_batches = reg.counter(
             "repro_batches_executed_total",
-            "Coalesced executor dispatches (pooled ops only).",
-        )
-        self._m_coalesced = reg.counter(
-            "repro_jobs_coalesced_total",
-            "Pooled query jobs absorbed into coalesced batches.",
+            "Pooled executor dispatches, one job each.",
         )
         self._m_errors = reg.counter(
             "repro_request_errors_total",
@@ -383,8 +351,8 @@ class SynthesisService:
         )
 
     async def start(self) -> None:
-        """Open the stores and start the dispatcher (idempotent)."""
-        if self._dispatcher is not None:
+        """Open the stores and start accepting queries (idempotent)."""
+        if self._reload_lock is not None:
             return
         loop = asyncio.get_running_loop()
         if self._registry is None:
@@ -393,33 +361,16 @@ class SynthesisService:
             )
         if self._log_writer is not None:
             self._log_writer.start()
-        self._queue = asyncio.Queue(maxsize=4 * self._max_batch)
-        self._slots = asyncio.Semaphore(self._workers)
         self._reload_lock = asyncio.Lock()
-        self._dispatcher = loop.create_task(
-            self._dispatch_loop(), name="repro-serve-dispatcher"
-        )
+        self._accepting = True
 
     async def close(self) -> None:
-        """Stop dispatching, fail queued jobs and release the pools."""
-        self._closing = True
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
-        if self._queue is not None:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServerError("server is shutting down")
-                    )
+        """Refuse new queries, then let the pooled ones finish.
+
+        Jobs already handed to the pool run to the end and answer their
+        callers; the pools and the access log are released after them.
+        """
+        self._accepting = False
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._pool.shutdown, True)
         await loop.run_in_executor(None, self._opener.shutdown, True)
@@ -553,50 +504,33 @@ class SynthesisService:
         self._log_writer.submit(record)
 
     def _check_accepting(self) -> None:
-        if self._queue is None or self._closing:
+        if not self._accepting:
             raise ServerError("service is not accepting queries")
 
     async def _submit(self, fn: Callable[[], dict], trace: dict) -> dict:
+        """Run *fn* on the pool; fill *trace* from the worker's stamps."""
         self._check_accepting()
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        job = _Job(fn, future, loop)
-        await self._queue.put(job)
-        try:
-            return await future
-        finally:
-            if job.started is not None and job.finished is not None:
-                trace["queue_wait"] = job.started - job.enqueued
-                trace["execute"] = job.finished - job.started
+        enqueued = time.perf_counter()
+        # [start, end], appended by the worker thread.  A finished job
+        # has both; a waiter cancelled mid-job may read only the start.
+        stamps: list[float] = []
 
-    async def _dispatch_loop(self) -> None:
-        assert self._queue is not None and self._slots is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            # Acquire the worker slot BEFORE popping anything: the only
-            # awaits happen while no job is held, so cancellation (from
-            # close()) can never strand popped jobs with unresolved
-            # futures -- everything still queued is failed by close().
-            await self._slots.acquire()
+        def run() -> dict:
+            stamps.append(time.perf_counter())
             try:
-                job = await self._queue.get()
-            except asyncio.CancelledError:
-                self._slots.release()
-                raise
-            jobs = [job]
-            while len(jobs) < self._max_batch:
-                try:
-                    jobs.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self._m_batches.inc()
-            self._m_coalesced.inc(len(jobs))
-            executor_future = loop.run_in_executor(
-                self._pool, _run_jobs, jobs
+                return fn()
+            finally:
+                stamps.append(time.perf_counter())
+
+        self._m_batches.inc()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._pool, run
             )
-            executor_future.add_done_callback(
-                lambda _fut: self._slots.release()
-            )
+        finally:
+            if len(stamps) == 2:
+                trace["queue_wait"] = stamps[0] - enqueued
+                trace["execute"] = stamps[1] - stamps[0]
 
     # -- inline (event-loop) operations ------------------------------------------------
 
@@ -624,15 +558,16 @@ class SynthesisService:
             "serving_cost_bound": None if sole is None else sole[1].cost_bound,
             "stores": {} if registry is None else registry.describe(),
             "queries": queries,
+            # One job per pooled dispatch: both fields read the same
+            # counter, so their ratio (jobs per dispatch) is exactly 1.
             "batches_executed": int(self._m_batches.value()),
-            "jobs_coalesced": int(self._m_coalesced.value()),
+            "jobs_coalesced": int(self._m_batches.value()),
             "errors": client_errors + server_errors,
             "client_errors": client_errors,
             "server_errors": server_errors,
             "reloads": int(self._m_reloads.value()),
             "last_reload_error": self._last_reload_error,
             "workers": self._workers,
-            "max_batch": self._max_batch,
         }
         payload["section_cache"] = section_cache_stats()
         payload.update(self._metrics.summary())
@@ -681,33 +616,6 @@ class SynthesisService:
 
 
 # -- query functions (pure reads of frozen state, on a worker or the loop) -------------
-
-
-def _run_jobs(jobs: list[_Job]) -> None:
-    """Execute one coalesced batch on a worker thread.
-
-    Results and exceptions cross back to the event loop thread through
-    ``call_soon_threadsafe``; a cancelled (e.g. disconnected) waiter is
-    skipped rather than poked.
-    """
-    for job in jobs:
-        job.started = time.perf_counter()
-        try:
-            outcome: object = job.fn()
-            error: BaseException | None = None
-        except BaseException as exc:  # noqa: BLE001 -- forwarded to waiter
-            outcome, error = None, exc
-        job.finished = time.perf_counter()
-        job.loop.call_soon_threadsafe(_resolve, job.future, outcome, error)
-
-
-def _resolve(future, outcome, error) -> None:
-    if future.done():
-        return
-    if error is None:
-        future.set_result(outcome)
-    else:
-        future.set_exception(error)
 
 
 def _parse_spec(state: StoreState, spec: object):

@@ -462,6 +462,26 @@ class TestMalformedRequests:
             assert reply["error"]["code"] == "protocol"
             assert "exceeds" in reply["error"]["message"]
 
+    @pytest.mark.parametrize("length", [b"-5", b"1_0", b"+5"])
+    def test_http_bad_content_length_is_refused(self, server, length):
+        # int() alone takes each of these; a negative size must not
+        # reach readexactly(), and "1_0" or "+5" must not read a body.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /synth HTTP/1.1\r\nContent-Length: " + length
+                + b'\r\n\r\n{"target": "peres"}'
+            )
+            stream = sock.makefile("rb")
+            assert stream.readline().startswith(b"HTTP/1.1 400")
+            size = 0
+            for line in iter(stream.readline, b"\r\n"):
+                name, _sep, value = line.decode("latin-1").partition(":")
+                if name.lower() == "content-length":
+                    size = int(value)
+            error = json.loads(stream.read(size))["error"]
+        assert error["code"] == "protocol"
+        assert error["message"] == "bad Content-Length header"
+
     def test_http_garbage_gets_400(self, server):
         with socket.create_connection(server.address, timeout=10) as sock:
             sock.sendall(b"GARBAGE\r\n\r\n")
@@ -652,7 +672,7 @@ class TestReload:
         from repro.server.service import SynthesisService
 
         async def scenario() -> None:
-            service = SynthesisService(store_path, workers=1, max_batch=1)
+            service = SynthesisService(store_path, workers=1)
             await service.start()
             release = threading.Event()
             entered = threading.Event()
@@ -691,7 +711,7 @@ class TestInlineSynth:
         from repro.server.service import SynthesisService
 
         async def scenario() -> None:
-            service = SynthesisService(store_path, workers=1, max_batch=1)
+            service = SynthesisService(store_path, workers=1)
             await service.start()
             release = threading.Event()
             entered = threading.Event()
@@ -710,14 +730,14 @@ class TestInlineSynth:
             )
             batch = None
             try:
-                assert service._m_coalesced.value() == 1
+                assert service._m_batches.value() == 1
                 payload = await asyncio.wait_for(service.handle(Request(
                     op="synth", params={"target": "peres"},
                 )), timeout=10)
                 assert payload["cost"] == 4
-                assert service._m_coalesced.value() == 1
-                # A batch is client-sized work: it queues behind the
-                # wedged worker and is coalesced once the worker frees.
+                assert service._m_batches.value() == 1
+                # A batch is client-sized work: it goes to the pool and
+                # waits behind the wedged worker until it frees.
                 batch = asyncio.ensure_future(service.handle(Request(
                     op="synth-batch", params={"targets": ["peres"]},
                 )))
@@ -731,7 +751,7 @@ class TestInlineSynth:
                 )
                 await service.close()
             assert batch.result()["failures"] == 0
-            assert service._m_coalesced.value() == 2
+            assert service._do_healthz()["jobs_coalesced"] == 2
             assert service._m_batches.value() == 2
             summary = service._metrics.summary()
             assert summary["queue_wait_ms"]["synth"]["p99"] == 0.0
@@ -749,11 +769,11 @@ class TestInlineSynth:
                 await service.handle(Request(
                     op="synth", params={"target": "peres", "all": True},
                 ))
-                assert service._m_coalesced.value() == 1
+                assert service._m_batches.value() == 1
                 await service.handle(Request(
                     op="synth", params={"target": "peres", "all": False},
                 ))
-                assert service._m_coalesced.value() == 1
+                assert service._m_batches.value() == 1
             finally:
                 await service.close()
 
@@ -771,6 +791,62 @@ class TestInlineSynth:
                 await service.handle(Request(
                     op="synth", params={"target": "peres"},
                 ))
+
+        asyncio.run(scenario())
+
+
+    def test_close_lets_pooled_jobs_answer(self, store_path):
+        """close() refuses new queries but lets handed-off jobs finish.
+
+        A batch waiting behind a wedged worker when close() starts gets
+        its result once the worker frees: no shutdown error, no hang.
+        """
+        from repro.server.protocol import Request
+        from repro.server.service import SynthesisService
+
+        async def scenario() -> None:
+            service = SynthesisService(store_path, workers=1)
+            await service.start()
+            release = threading.Event()
+            entered = threading.Event()
+
+            def blocker() -> dict:
+                entered.set()
+                release.wait(30)
+                return {}
+
+            wedge = asyncio.ensure_future(service._submit(
+                blocker, {"queue_wait": 0.0, "execute": 0.0}
+            ))
+            loop = asyncio.get_running_loop()
+            closing = None
+            try:
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                batch = asyncio.ensure_future(service.handle(Request(
+                    op="synth-batch", params={"targets": ["peres"]},
+                )))
+                await asyncio.sleep(0.1)
+                closing = asyncio.ensure_future(service.close())
+                await asyncio.sleep(0.1)
+                assert not batch.done() and not closing.done()
+                for op, params in (
+                    ("synth", {"target": "peres"}),
+                    ("synth-batch", {"targets": ["peres"]}),
+                ):
+                    with pytest.raises(ServerError) as excinfo:
+                        await service.handle(Request(op=op, params=params))
+                    assert str(excinfo.value) == (
+                        "service is not accepting queries"
+                    )
+            finally:
+                release.set()
+                if closing is None:
+                    closing = asyncio.ensure_future(service.close())
+                await asyncio.wait_for(
+                    asyncio.gather(wedge, closing), timeout=30
+                )
+            result = await asyncio.wait_for(batch, timeout=1)
+            assert result["count"] == 1 and result["failures"] == 0
 
         asyncio.run(scenario())
 
@@ -844,7 +920,7 @@ class TestStoreResidency:
                 )
                 await service.close()
             assert [result["cost"] for result in results] == [4, 4, 4]
-            assert service._m_coalesced.value() == 3
+            assert service._m_batches.value() == 3
             assert store_module._SECTION_CACHE.stats()["entries"] == 0
 
         asyncio.run(scenario())
@@ -870,7 +946,7 @@ class TestStoreResidency:
         from repro.server.service import SynthesisService
 
         async def scenario() -> None:
-            service = SynthesisService(store_path, workers=1, max_batch=1)
+            service = SynthesisService(store_path, workers=1)
             await service.start()
             release = threading.Event()
             entered = threading.Event()
